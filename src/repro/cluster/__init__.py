@@ -28,6 +28,7 @@ from repro.cluster.health import (
 from repro.cluster.node import GPUNode, NodeResult
 from repro.cluster.placement import (
     NodeView,
+    PlacementIndex,
     PlacementPolicy,
     choose_node,
     placement_key,
@@ -47,6 +48,7 @@ __all__ = [
     "ClusterResult",
     "PlacementPolicy",
     "NodeView",
+    "PlacementIndex",
     "placement_key",
     "choose_node",
     "FleetSimulator",

@@ -13,7 +13,9 @@ al. — all competing over the *same* arrival stream.
 Time advances in fixed scheduling rounds.  Per round the coordinator:
 
 1. moves arrivals whose cycle has passed into a FIFO wait queue,
-2. admits waiting jobs while the placement policy finds a free slot,
+2. admits waiting jobs while the placement policy finds a free slot
+   (choosing over the signature buckets of
+   :class:`~repro.cluster.placement.PlacementIndex`, not every node),
 3. executes every active node for the round — the physics lives in
    :mod:`repro.cluster.shard`, sharded across the
    :class:`~repro.exec.SweepExecutor`'s worker processes (node results
@@ -43,7 +45,11 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.health import FleetHealthMonitor, HealthReport
-from repro.cluster.placement import NodeView, PlacementPolicy, choose_node
+from repro.cluster.placement import (
+    PlacementIndex,
+    PlacementPolicy,
+    choose_node,
+)
 from repro.cluster.shard import (
     CHANNEL_FLOOR,
     SLICING_MODES,
@@ -286,6 +292,9 @@ class FleetSimulator:
             health.run_id = self.run_id
         self._model = _model_for(config)
         self._nodes = [_NodeState(i) for i in range(num_nodes)]
+        #: Signature buckets over ``_nodes``; every change to a node's
+        #: ``resident`` list goes through :meth:`_place` / :meth:`_evict`.
+        self._index = PlacementIndex(num_nodes, tenants_per_node)
         self._catalog = {spec.abbr for spec in TABLE2}
         self._class_memo: Dict[str, bool] = {}
         self._solo_memo: Dict[str, float] = {}
@@ -371,18 +380,14 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # Round phases
     # ------------------------------------------------------------------
-    def _views(self) -> List[NodeView]:
-        return [
-            NodeView(
-                node_id=n.node_id,
-                capacity=self.tenants_per_node,
-                free_slots=self.tenants_per_node - len(n.resident),
-                tenant_classes=tuple(
-                    self._memory_bound(r.abbr) for r in n.resident
-                ),
-            )
-            for n in self._nodes
-        ]
+    def _place(self, node: _NodeState, record: _JobRecord) -> None:
+        node.resident.append(record)
+        record.node_id = node.node_id
+        self._index.add(node.node_id, self._memory_bound(record.abbr))
+
+    def _evict(self, node: _NodeState, record: _JobRecord) -> None:
+        node.resident.remove(record)
+        self._index.remove(node.node_id, self._memory_bound(record.abbr))
 
     def _trace(self, name: str, now: int, **args) -> None:
         if self.tracer is not None:
@@ -394,15 +399,15 @@ class FleetSimulator:
         while wait:
             record = wait[0]
             choice = choose_node(
-                self.placement, self._views(), self._memory_bound(record.abbr)
+                self.placement, self._index.views(),
+                self._memory_bound(record.abbr),
             )
             if choice is None:
                 break
             wait.popleft()
             node = self._nodes[choice.node_id]
-            node.resident.append(record)
+            self._place(node, record)
             record.admit_cycle = now
-            record.node_id = node.node_id
             admitted += 1
             self._trace("admit", now, job=record.job_id, node=node.node_id)
             if self.log is not None:
@@ -515,7 +520,7 @@ class FleetSimulator:
                 if tenant_out.departed:
                     record.remaining = 0
                     record.depart_cycle = now + tenant_out.active_cycles
-                    node.resident.remove(record)
+                    self._evict(node, record)
                     departures += 1
                     self._trace("depart", record.depart_cycle,
                                 job=record.job_id, node=node.node_id)
@@ -546,10 +551,9 @@ class FleetSimulator:
         for source in sources:
             if not source.resident or source.node_id in received:
                 continue
-            free_elsewhere = sum(
-                self.tenants_per_node - len(n.resident)
-                for n in self._nodes
-                if n is not source and n.resident
+            free_elsewhere = (
+                self._index.stranded_slots()
+                - (self.tenants_per_node - len(source.resident))
             )
             if free_elsewhere < len(source.resident):
                 continue
@@ -558,20 +562,17 @@ class FleetSimulator:
                     and not self._worth_consolidating(tenants, now)):
                 continue
             for record in tenants:
-                views = [
-                    v for v in self._views()
-                    if v.node_id != source.node_id and not v.is_empty
-                ]
                 choice = choose_node(
-                    self.placement, views, self._memory_bound(record.abbr)
+                    self.placement,
+                    self._index.views(source=source.node_id),
+                    self._memory_bound(record.abbr),
                 )
                 if choice is None:   # pragma: no cover - precheck forbids
                     break
-                source.resident.remove(record)
+                self._evict(source, record)
                 target = self._nodes[choice.node_id]
-                target.resident.append(record)
+                self._place(target, record)
                 received.add(target.node_id)
-                record.node_id = target.node_id
                 record.penalty_factor = 1.0 - self.migration_penalty
                 record.migrations += 1
                 self._migrated_bytes += self._footprint(record.abbr)
@@ -718,11 +719,9 @@ class FleetSimulator:
                 self._m_active.set(
                     sum(1 for n in self._nodes if n.resident)
                 )
-                frag_now = sum(
-                    self.tenants_per_node - len(n.resident)
-                    for n in self._nodes if n.resident
-                ) / self.capacity
-                self._m_frag.set(frag_now)
+                self._m_frag.set(
+                    self._index.stranded_slots() / self.capacity
+                )
                 self.metrics.epoch_boundary(rounds - 1, now)
 
             if self.health is not None and executed:

@@ -32,15 +32,30 @@ simulator compares against (PAPERS.md):
 Every ordering ends with the node id, so placement is deterministic and
 independent of dict/iteration order — a requirement for the sharded
 fleet runs being byte-identical to serial ones.
+
+**The index invariant.**  A key is a function of the node's *signature*
+— its (memory-bound, compute-bound) resident counts, which fix
+``free_slots``, ``is_empty``, ``has_opposite`` and ``complements`` —
+followed by the node id.  So among nodes that share a signature the
+lowest id always wins, and the minimum over one representative per
+signature bucket equals the minimum over every node.
+:class:`PlacementIndex` keeps those buckets incrementally, which turns
+an admission from a scan of every node into a scan of at most
+``(s+1)(s+2)/2 - (s+1)`` non-full buckets at ``s`` slots per node (10 at
+4 slots).  A new policy must keep the invariant — a key may read nothing
+of a view but its signature and, last, its node id;
+``tests/test_placement_index.py`` checks the index against the naive
+per-node scan for every policy.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import AllocationError, ConfigError
 
 
 class PlacementPolicy(enum.Enum):
@@ -129,3 +144,89 @@ def choose_node(policy: PlacementPolicy, views: Sequence[NodeView],
         candidates,
         key=lambda v: placement_key(policy, v, job_is_memory_bound),
     )
+
+
+#: A node's signature: (resident memory-bound, resident compute-bound).
+Signature = Tuple[int, int]
+
+
+class PlacementIndex:
+    """Signature buckets over a pool of equal-capacity nodes.
+
+    Maps each signature to the sorted ids of the nodes holding it.  The
+    owner reports every residency change (:meth:`add`, :meth:`remove`);
+    :meth:`views` then yields one representative :class:`NodeView` per
+    non-full bucket — its lowest eligible node id — which is all
+    :func:`choose_node` needs to find the same node a scan of every node
+    would (see the module docstring for why).
+    """
+
+    def __init__(self, num_nodes: int, capacity: int) -> None:
+        if num_nodes <= 0 or capacity <= 0:
+            raise ConfigError("num_nodes and capacity must be positive")
+        self.capacity = capacity
+        self._signatures: List[Signature] = [(0, 0)] * num_nodes
+        self._buckets: Dict[Signature, List[int]] = {
+            (0, 0): list(range(num_nodes))
+        }
+
+    def add(self, node_id: int, memory_bound: bool) -> None:
+        """One tenant of this class joined ``node_id``."""
+        m, c = self._signatures[node_id]
+        if m + c >= self.capacity:
+            raise AllocationError(
+                f"node {node_id} is full ({self.capacity} slots)"
+            )
+        self._move(node_id, (m + 1, c) if memory_bound else (m, c + 1))
+
+    def remove(self, node_id: int, memory_bound: bool) -> None:
+        """One tenant of this class left ``node_id``."""
+        m, c = self._signatures[node_id]
+        if (m if memory_bound else c) <= 0:
+            raise AllocationError(
+                f"node {node_id} holds no "
+                f"{'memory' if memory_bound else 'compute'}-bound tenant"
+            )
+        self._move(node_id, (m - 1, c) if memory_bound else (m, c - 1))
+
+    def _move(self, node_id: int, new: Signature) -> None:
+        old = self._signatures[node_id]
+        ids = self._buckets[old]
+        del ids[bisect_left(ids, node_id)]
+        if not ids:
+            del self._buckets[old]
+        insort(self._buckets.setdefault(new, []), node_id)
+        self._signatures[node_id] = new
+
+    def stranded_slots(self) -> int:
+        """Free slots on non-empty nodes."""
+        return sum(
+            len(ids) * (self.capacity - m - c)
+            for (m, c), ids in self._buckets.items()
+            if m + c
+        )
+
+    def views(self, source: Optional[int] = None) -> List[NodeView]:
+        """One view per non-full bucket, for its lowest node id.
+
+        With ``source``, the targets for a tenant moving off that node
+        (a rebalancing move): the source itself and empty nodes are
+        left out.
+        """
+        views = []
+        for (m, c), ids in self._buckets.items():
+            free = self.capacity - m - c
+            if free <= 0 or (source is not None and m + c == 0):
+                continue
+            node_id = ids[0]
+            if node_id == source:
+                if len(ids) == 1:
+                    continue
+                node_id = ids[1]
+            views.append(NodeView(
+                node_id=node_id,
+                capacity=self.capacity,
+                free_slots=free,
+                tenant_classes=(True,) * m + (False,) * c,
+            ))
+        return views

@@ -14,6 +14,12 @@ expose the machinery job-by-job for arrival/departure traces
 (:mod:`repro.workloads.arrivals`); the placements counter records one
 outcome per event — ``placed``, ``rejected`` or ``departed`` — so the
 counter always reconciles with the resident-tenant gauges.
+
+Admission chooses over a :class:`~repro.cluster.placement.PlacementIndex`
+of node signatures, the same chooser the fleet simulator uses.  The
+scheduler keeps the index current on every place and depart it makes;
+tenants put on a node directly (``scheduler.nodes[i].place(app)``) are
+invisible to later admissions.
 """
 
 from __future__ import annotations
@@ -22,7 +28,11 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.node import GPUNode, NodeResult
-from repro.cluster.placement import NodeView, PlacementPolicy, choose_node
+from repro.cluster.placement import (
+    PlacementIndex,
+    PlacementPolicy,
+    choose_node,
+)
 from repro.core.system import MultitaskSystem
 from repro.errors import AllocationError
 from repro.gpu.config import GPUConfig
@@ -73,6 +83,7 @@ class ClusterScheduler:
             GPUNode(i, config, max_tenants=tenants_per_node)
             for i in range(num_nodes)
         ]
+        self._index = PlacementIndex(num_nodes, tenants_per_node)
         self.perf = PerformanceModel(config)
         self.metrics = metrics
         self.log = log
@@ -135,7 +146,7 @@ class ClusterScheduler:
         if policy is PlacementPolicy.FIRST_FIT:
             # Class-blind: spread tenants breadth-first for load fairness.
             for job in jobs:
-                self._emptiest_node().place(job)
+                self._place(self._emptiest_node(), job)
                 self._note_placement()
             return
         # Demand-aware: interleave the two classes and fill each node
@@ -150,8 +161,12 @@ class ClusterScheduler:
             if compute:
                 ordered.append(compute.pop(0))
         for job in ordered:
-            self._first_open_node().place(job)
+            self._place(self._first_open_node(), job)
             self._note_placement()
+
+    def _place(self, node: GPUNode, job: Application) -> None:
+        node.place(job)
+        self._index.add(node.node_id, self._is_memory_bound(job))
 
     def _note_placement(self, outcome: str = "placed") -> None:
         if self.metrics is not None:
@@ -159,34 +174,23 @@ class ClusterScheduler:
             self._update_node_gauges()
 
     def _emptiest_node(self) -> GPUNode:
-        target = min(self.nodes, key=lambda n: (len(n.tenants), n.node_id))
-        if target.free_slots <= 0:
+        views = self._index.views()
+        if not views:
             raise AllocationError("cluster is full")  # pragma: no cover
-        return target
+        return self.nodes[
+            min(views, key=lambda v: (-v.free_slots, v.node_id)).node_id
+        ]
 
     def _first_open_node(self) -> GPUNode:
-        for node in self.nodes:
-            if node.free_slots > 0:
-                return node
-        raise AllocationError("cluster is full")  # pragma: no cover
+        view = choose_node(PlacementPolicy.FIRST_FIT, self._index.views(),
+                           False)
+        if view is None:
+            raise AllocationError("cluster is full")  # pragma: no cover
+        return self.nodes[view.node_id]
 
     # ------------------------------------------------------------------
     # Online admission / departure
     # ------------------------------------------------------------------
-    def node_views(self) -> List[NodeView]:
-        """The occupancy snapshot the placement zoo chooses over."""
-        return [
-            NodeView(
-                node_id=n.node_id,
-                capacity=n.max_tenants,
-                free_slots=n.free_slots,
-                tenant_classes=tuple(
-                    self._is_memory_bound(t) for t in n.tenants
-                ),
-            )
-            for n in self.nodes
-        ]
-
     def admit(self, job: Application,
               policy: PlacementPolicy = PlacementPolicy.LEAST_FRAGMENTED,
               ) -> GPUNode:
@@ -196,7 +200,7 @@ class ClusterScheduler:
         :mod:`repro.cluster.placement` ends with the node id.
         """
         choice = choose_node(
-            policy, self.node_views(), self._is_memory_bound(job)
+            policy, self._index.views(), self._is_memory_bound(job)
         )
         if choice is None:
             self._note_placement(outcome="rejected")
@@ -207,7 +211,7 @@ class ClusterScheduler:
                 )
             raise AllocationError("cluster is full: no free slot for arrival")
         target = self.nodes[choice.node_id]
-        target.place(job)
+        self._place(target, job)
         self._note_placement()
         if self.log is not None:
             self.log.debug(
@@ -221,7 +225,8 @@ class ClusterScheduler:
         """Release a departing job's slot; returns the node it held."""
         for node in self.nodes:
             if any(t.app_id == app_id for t in node.tenants):
-                node.remove(app_id)
+                self._index.remove(node.node_id,
+                                   self._is_memory_bound(node.remove(app_id)))
                 self._note_placement(outcome="departed")
                 if self.log is not None:
                     self.log.debug(

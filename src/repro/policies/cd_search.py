@@ -98,8 +98,12 @@ class CDSearchPolicy(PartitionPolicy):
                     moved, self.tb_duration_cycles, runner.epoch_cycles,
                     channels_available=max(1, constrained[app_id].channels),
                 )
+                # An app shrunk past half its SMs moves more SMs than it
+                # keeps; the stall factor is a fraction, so clamp it as
+                # UGPU does.
                 runner.add_penalty(
-                    app_id, charge.cycles, moved / constrained[app_id].sms
+                    app_id, charge.cycles,
+                    min(1.0, moved / constrained[app_id].sms),
                 )
                 state.migrated_bytes += charge.dram_bytes
 

@@ -166,6 +166,24 @@ class TestCDSearchSystem:
         ugpu = UGPUSystem(het_mix().applications).run()
         assert bp.stp < cd.stp < ugpu.stp
 
+    @pytest.mark.parametrize("mix", [
+        ("LAVAMD", "LBM", "DXTC", "HOTSPOT"),
+        ("LAVAMD", "LBM", "DXTC", "PF"),
+    ])
+    def test_shrinking_past_half_the_sms_is_a_bounded_stall(self, mix):
+        """Regression: an app that gives away more SMs than it keeps used
+        to be charged a stall factor above 1 and the run raised
+        ``ConfigError: invalid penalty``; the factor is clamped to 1 as
+        UGPU clamps it."""
+        from repro.exec.registry import resolve_policy
+        from repro.workloads.mixes import build_mix
+
+        result = resolve_policy("cd-search")(
+            build_mix(list(mix)).applications
+        ).run(25_000_000, mix_name="_".join(mix))
+        assert result.repartitions > 0
+        assert all(0 < run.normalized_progress <= 1.0 for run in result.runs)
+
 
 class TestEpochAllocationTraces:
     def test_allocation_snapshots_recorded(self):
