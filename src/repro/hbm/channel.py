@@ -98,64 +98,70 @@ class Channel:
     def earliest_issue(self, cmd: Command, now: int) -> int:
         """Earliest cycle >= ``now`` at which ``cmd`` could legally issue."""
         group = self.groups[cmd.bank_group]
-        bank = group.bank(cmd.bank)
-        t = self._timing
-        earliest = max(now, self.command_bus_busy_until)
+        banks = group.banks
+        index = cmd.bank
+        if not 0 <= index < len(banks):
+            raise ProtocolError(f"bank index {index} out of range")
+        bank = banks[index]
+        earliest = self.command_bus_busy_until
+        if earliest < now:
+            earliest = now
+        kind = cmd.kind
 
-        if cmd.kind is CommandKind.ACTIVATE:
-            earliest = max(earliest, bank.earliest_activate())
-            earliest = max(earliest, self._rrd_constraint(cmd.bank_group))
-            earliest = max(earliest, self._faw_constraint())
-        elif cmd.kind is CommandKind.PRECHARGE:
-            earliest = max(earliest, bank.earliest_precharge())
-        elif cmd.is_column_command:
-            earliest = max(earliest, bank.earliest_column())
-            earliest = max(earliest, self._ccd_constraint(cmd.bank_group))
-            if cmd.kind is CommandKind.READ:
-                earliest = max(earliest, self._wtr_constraint(cmd.bank_group))
-            if cmd.kind in (CommandKind.READ, CommandKind.WRITE):
-                # External data bus must be free for the burst.
-                earliest = max(earliest, self._data_bus_slot(earliest, cmd.kind))
-            else:  # MIGRATION: needs the bank group's internal bus only.
-                earliest = max(earliest, group.bus_free_at())
+        if kind is CommandKind.ACTIVATE:
+            bound = bank.earliest_activate()
+            if bound > earliest:
+                earliest = bound
+            if self._recent_activates:
+                # Per-bank ACT-to-ACT (tRC) is folded into the bank's
+                # activate bound; this is channel-wide ACT-to-ACT spacing.
+                t = self._timing
+                bound = self._recent_activates[-1] + (
+                    t.tRRDl if cmd.bank_group == self._last_activate_group
+                    else t.tRRDs)
+                if bound > earliest:
+                    earliest = bound
+                if len(self._recent_activates) == 4:
+                    bound = self._recent_activates[0] + t.tFAW
+                    if bound > earliest:
+                        earliest = bound
+        elif kind is CommandKind.PRECHARGE:
+            bound = bank.earliest_precharge()
+            if bound > earliest:
+                earliest = bound
+        else:  # READ, WRITE, MIGRATION
+            t = self._timing
+            bound = bank.earliest_column()
+            if bound > earliest:
+                earliest = bound
+            if self._last_column_issue >= 0:
+                bound = self._last_column_issue + (
+                    t.tCCDl if cmd.bank_group == self._last_column_group
+                    else t.tCCDs)
+                if bound > earliest:
+                    earliest = bound
+            if kind is CommandKind.MIGRATION:
+                # Needs the bank group's internal bus only.
+                bound = group.bus_busy_until
+                if bound > earliest:
+                    earliest = bound
+            else:
+                if kind is CommandKind.READ:
+                    if self._last_write_data_end >= 0:
+                        bound = self._last_write_data_end + (
+                            t.tWTRl if cmd.bank_group == self._last_write_group
+                            else t.tWTRs)
+                        if bound > earliest:
+                            earliest = bound
+                    lead = t.tCL
+                else:
+                    lead = t.tWL
+                # The burst begins `lead` cycles after issue; the external
+                # data bus must be free by then.
+                bound = self.data_bus_busy_until - lead
+                if bound > earliest:
+                    earliest = bound
         return earliest
-
-    def _rrd_constraint(self, bank_group: int) -> int:
-        # Per-bank ACT-to-ACT (tRC) is folded into bank.earliest_activate;
-        # this covers channel-wide ACT-to-ACT spacing.
-        if not self._recent_activates:
-            return 0
-        t = self._timing
-        last = self._recent_activates[-1]
-        gap = t.tRRDl if bank_group == self._last_activate_group else t.tRRDs
-        return last + gap
-
-    def _faw_constraint(self) -> int:
-        if len(self._recent_activates) == 4:
-            return self._recent_activates[0] + self._timing.tFAW
-        return 0
-
-    def _ccd_constraint(self, bank_group: int) -> int:
-        t = self._timing
-        if self._last_column_issue < 0:
-            return 0
-        gap = t.tCCDl if bank_group == self._last_column_group else t.tCCDs
-        return self._last_column_issue + gap
-
-    def _wtr_constraint(self, bank_group: int) -> int:
-        t = self._timing
-        if self._last_write_data_end < 0:
-            return 0
-        gap = t.tWTRl if bank_group == self._last_write_group else t.tWTRs
-        return self._last_write_data_end + gap
-
-    def _data_bus_slot(self, issue: int, kind: CommandKind) -> int:
-        t = self._timing
-        lead = t.tCL if kind is CommandKind.READ else t.tWL
-        # The burst begins `lead` cycles after issue; the bus must be free.
-        if issue + lead >= self.data_bus_busy_until:
-            return issue
-        return self.data_bus_busy_until - lead
 
     # ------------------------------------------------------------------
     # Command issue
@@ -174,54 +180,49 @@ class Channel:
                 f"{cmd} issued at {now}, earliest legal cycle is {legal}"
             )
         group = self.groups[cmd.bank_group]
-        bank = group.bank(cmd.bank)
+        bank = group.banks[cmd.bank]  # index checked by earliest_issue
         t = self._timing
+        kind = cmd.kind
         self.command_bus_busy_until = now + cmd.command_bus_cycles
 
-        if cmd.kind is CommandKind.ACTIVATE:
+        if kind is CommandKind.ACTIVATE:
             bank.do_activate(now, cmd.row)
             self._recent_activates.append(now)
             self._last_activate_group = cmd.bank_group
             self.activates += 1
             return now + t.tRCD
 
-        if cmd.kind is CommandKind.PRECHARGE:
+        if kind is CommandKind.PRECHARGE:
             bank.do_precharge(now)
             self.precharges += 1
             return now + t.tRP
 
-        if cmd.kind is CommandKind.READ:
+        if kind is CommandKind.READ:
             done = bank.do_read(now, cmd.column)
-            self._note_column(cmd.bank_group, now)
-            self.data_bus_busy_until = done
-            group.occupy_bus(max(now + t.tCL, group.bus_free_at()), done)
-            self.reads += 1
-            return done
-
-        if cmd.kind is CommandKind.WRITE:
+        elif kind is CommandKind.WRITE:
             done = bank.do_write(now, cmd.column)
-            self._note_column(cmd.bank_group, now)
-            self.data_bus_busy_until = done
-            group.occupy_bus(max(now + t.tWL, group.bus_free_at()), done)
-            self._last_write_data_end = done
-            self._last_write_group = cmd.bank_group
-            self.writes += 1
-            return done
-
-        if cmd.kind is CommandKind.MIGRATION:
+        else:
             done = bank.do_migration_read(now, cmd.column)
-            self._note_column(cmd.bank_group, now)
-            group.occupy_bus(max(now, group.bus_free_at()), done)
+        # Every column command spaces the group's next one by tCCDl.
+        self._last_column_issue = now
+        self._last_column_group = cmd.bank_group
+        for b in group.banks:
+            b.note_column_issued(now, t.tCCDl)
+
+        if kind is CommandKind.MIGRATION:
+            group.occupy_bus(max(now, group.bus_busy_until), done)
             self.migrations += 1
             return done
-
-        raise ProtocolError(f"unknown command kind {cmd.kind}")  # pragma: no cover
-
-    def _note_column(self, bank_group: int, now: int) -> None:
-        self._last_column_issue = now
-        self._last_column_group = bank_group
-        for b in self.groups[bank_group].banks:
-            b.note_column_issued(now, self._timing.tCCDl)
+        self.data_bus_busy_until = done
+        if kind is CommandKind.READ:
+            group.occupy_bus(max(now + t.tCL, group.bus_busy_until), done)
+            self.reads += 1
+            return done
+        group.occupy_bus(max(now + t.tWL, group.bus_busy_until), done)
+        self._last_write_data_end = done
+        self._last_write_group = cmd.bank_group
+        self.writes += 1
+        return done
 
     # ------------------------------------------------------------------
     # Introspection

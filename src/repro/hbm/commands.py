@@ -72,11 +72,6 @@ class Command:
         """Command-bus occupancy: MIGRATION is a two-cycle command."""
         return 2 if self.kind in TWO_CYCLE_COMMANDS else 1
 
-    @property
-    def is_column_command(self) -> bool:
-        """True for commands that move data (READ/WRITE/MIGRATION)."""
-        return self.kind in (CommandKind.READ, CommandKind.WRITE, CommandKind.MIGRATION)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         base = f"{self.kind} bg{self.bank_group} b{self.bank}"
         if self.kind is CommandKind.ACTIVATE:

@@ -145,7 +145,16 @@ class MemoryController:
 
         With write buffering enabled, writes go to the write buffer
         instead and a burst drain triggers at the high watermark.
+        Bank coordinates outside the channel are rejected here, so
+        scheduling reads bank state without re-checking them.
         """
+        groups = self.channel.groups
+        if not (0 <= request.bank_group < len(groups)
+                and 0 <= request.bank < len(groups[request.bank_group].banks)):
+            raise ProtocolError(
+                f"bank group {request.bank_group} bank {request.bank} "
+                "outside the channel"
+            )
         request.arrival = max(request.arrival, 0)
         if (self.write_buffer_entries > 0
                 and request.kind is RequestKind.WRITE):
@@ -202,7 +211,7 @@ class MemoryController:
         arrived_hit_t = arrived_any_t = pending_hit_t = pending_any_t = 0
         for i, r in enumerate(self.queue):
             arrival = r.arrival
-            hit = groups[r.bank_group].bank(r.bank).is_row_open(r.row)
+            hit = groups[r.bank_group].banks[r.bank].is_row_open(r.row)
             if arrival <= now:
                 if hit and (arrived_hit < 0 or arrival < arrived_hit_t):
                     arrived_hit, arrived_hit_t = i, arrival

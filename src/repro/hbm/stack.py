@@ -15,7 +15,7 @@ and destination channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 from repro.errors import MigrationError, ProtocolError
 from repro.hbm.channel import Channel
@@ -71,21 +71,20 @@ class HBMStack:
     def idle_tsv_bundles(self, now: int, window: int = 100) -> List[int]:
         """TSV bundles whose owning channel has been idle for ``window``
         cycles and that carry no migration grant."""
-        idle = []
-        for bundle in range(len(self.tsvs)):
-            channel = self.channels[bundle]
-            if channel.is_idle_at(now, window) and self.decoder.is_free(bundle, now):
-                idle.append(bundle)
-        return idle
+        return list(self._idle_bundles(now, window, ()))
 
     def find_idle_tsv(self, now: int, exclude: Optional[List[int]] = None,
                       window: int = 100) -> Optional[int]:
         """Pick one idle TSV bundle, preferring the lowest index."""
-        excluded = set(exclude or [])
-        for bundle in self.idle_tsv_bundles(now, window):
-            if bundle not in excluded:
-                return bundle
-        return None
+        return next(self._idle_bundles(now, window, exclude or ()), None)
+
+    def _idle_bundles(self, now: int, window: int,
+                      excluded: Sequence[int]) -> Iterator[int]:
+        decoder = self.decoder
+        for bundle, channel in enumerate(self.channels):
+            if (bundle not in excluded and channel.is_idle_at(now, window)
+                    and decoder.is_free(bundle, now)):
+                yield bundle
 
     # ------------------------------------------------------------------
     # MIGRATION execution
@@ -126,10 +125,12 @@ class HBMStack:
         src = self.channels[src_channel]
         dst = self.channels[cmd.dest_channel]
 
+        dst_cmd = self._dest_view(cmd)
+
         # Legal issue time across both channels.
         issue_at = max(
             src.earliest_issue(cmd, now),
-            dst.earliest_issue(self._dest_view(cmd), now),
+            dst.earliest_issue(dst_cmd, now),
         )
 
         done = issue_at + self.config.timing.tMIG
@@ -143,7 +144,6 @@ class HBMStack:
         self.decoder.grant(cmd.tsv_index, src_channel, issue_at, done)
 
         src.issue(cmd, issue_at)
-        dst_cmd = self._dest_view(cmd)
         dst_done = dst.issue(dst_cmd, issue_at)
         self.migrations_completed += 1
         return max(done, dst_done)

@@ -180,14 +180,16 @@ class GPUDriver:
         """The assigned channel with the fewest resident pages that still
         has free frames (the paper allocates from the least-used channel)."""
         self._check_app(app_id)
-        candidates = [
-            c for c in sorted(self._assigned[app_id]) if self._free[c]
-        ]
-        if not candidates:
+        resident = self._resident[app_id]
+        best, fewest = -1, 0
+        for c in sorted(self._assigned[app_id]):
+            if self._free[c] and (best < 0 or resident.get(c, 0) < fewest):
+                best, fewest = c, resident.get(c, 0)
+        if best < 0:
             raise AllocationError(
                 f"app {app_id}: no free frames in any assigned channel"
             )
-        return min(candidates, key=lambda c: self._resident[app_id].get(c, 0))
+        return best
 
     # ------------------------------------------------------------------
     # Allocation primitives
@@ -232,12 +234,16 @@ class GPUDriver:
         and the old frame is released; ``source_channel`` records where the
         data migrates from so the migration engine can cost the copy.
         """
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("vm.handle_fault")
+        if self.profiler is not None:
+            with self.profiler.span("vm.handle_fault"):
+                return self._handle_fault(kind, app_id, vpn, target_channel)
+        return self._handle_fault(kind, app_id, vpn, target_channel)
+
+    def _handle_fault(self, kind: FaultKind, app_id: int, vpn: int,
+                      target_channel: Optional[int]) -> PageFault:
         self._check_app(app_id)
         table = self.page_tables[app_id]
-        source_channel = None
+        source_channel = old = None
         if kind in (FaultKind.LOST_CHANNEL, FaultKind.REBALANCE):
             old = table.lookup(vpn)
             if old is None:
@@ -246,7 +252,15 @@ class GPUDriver:
                 )
             source_channel = old.channel
             self.release_page(app_id, old.rpn)
-        rpn = self.allocate_page(app_id, target_channel)
+        try:
+            rpn = self.allocate_page(app_id, target_channel)
+        except AllocationError:
+            if old is not None:
+                # The page stays where it is: take its frame back.
+                frame_channel = self.channel_of_frame(old.rpn)
+                self._free[frame_channel].remove(old.rpn)
+                self._resident[app_id][frame_channel] += 1
+            raise
         channel = self.channel_of_frame(rpn)
         table.map(vpn, rpn, channel)
         fault = PageFault(
@@ -267,8 +281,6 @@ class GPUDriver:
         if self.metrics is not None:
             self._m_faults.labels(kind=kind.value).inc()
             self._m_fault_cycles.inc(fault.software_cycles)
-        if prof is not None:
-            prof.end("vm.handle_fault")
         return fault
 
     def is_balanced(self, app_id: int, tolerance: int = 1) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import ConfigError, TranslationError
+from repro.errors import AllocationError, ConfigError, TranslationError
 from repro.pagemove.cost import MigrationCostModel, MigrationMode
 from repro.vm.channel_registry import ChannelStatusRegister
 from repro.vm.driver import FaultKind, GPUDriver
@@ -127,7 +127,10 @@ class MMU:
                               latency, l2_hit=True)
 
         # L2 miss: walk the page table.
-        table = self.driver.page_tables[app_id]
+        try:
+            table = self.driver.page_tables[app_id]
+        except KeyError:
+            raise AllocationError(f"app {app_id} is not registered") from None
         walk = self.walker.walk(table, vpn, self.now)
         latency += walk.latency
         self.stats.walks += 1

@@ -1,22 +1,33 @@
-"""4-level radix page table.
+"""4-level page table.
 
 One table per application (the paper isolates address spaces via per-app
 CR3 roots).  The table maps 36-bit VPNs to physical page numbers (RPNs in
 the paper's terminology) plus the memory channel group holding the page —
 the attribute PageMove's fault handling inspects (Section 4.4).
 
-The structure is an explicit radix tree rather than a flat dict so the
-page-table walker can charge a realistic number of memory references per
-walk (one per level, minus MMU-cache hits).
+Leaves live in one flat ``vpn -> entry`` dict.  The radix structure the
+page-table walker charges for (one memory reference per level, minus
+MMU-cache hits) is kept as three sets of populated interior-table
+prefixes: a level-1 table exists for ``vpn >> 27``, a level-2 table for
+``vpn >> 18`` and a leaf table for ``vpn >> 9`` once any page under it
+was mapped.  The sets only grow, as the tree's interior nodes did, since
+:meth:`PageTable.unmap` frees leaves but never interior tables; so
+:meth:`PageTable.levels_touched` counts exactly the levels a walk of the
+radix tree would touch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Set, Tuple
 
-from repro.errors import TranslationError
-from repro.vm.address import LEVELS, VirtualAddress
+from repro.errors import AddressError, TranslationError
+from repro.vm.address import LEVEL_BITS, LEVELS, PAGE_SHIFT, VA_BITS
+
+#: One past the largest VPN of the 48-bit virtual address space.
+_VPN_LIMIT = 1 << (VA_BITS - PAGE_SHIFT)
+_L1_SHIFT = 3 * LEVEL_BITS
+_L2_SHIFT = 2 * LEVEL_BITS
 
 
 @dataclass
@@ -42,13 +53,10 @@ class PageTableEntry:
     referenced: bool = False
 
 
-class _Node:
-    """Interior radix node."""
-
-    __slots__ = ("children",)
-
-    def __init__(self) -> None:
-        self.children: Dict[int, object] = {}
+def _out_of_range(vpn: int) -> AddressError:
+    return AddressError(
+        f"virtual address {vpn << PAGE_SHIFT:#x} outside {VA_BITS}-bit space"
+    )
 
 
 class PageTable:
@@ -58,40 +66,35 @@ class PageTable:
         self.app_id = app_id
         #: Emulates the CR3 root-pointer register value for identification.
         self.cr3 = cr3 if cr3 is not None else (0x1000 + app_id)
-        self._root = _Node()
-        self._count = 0
+        self._leaves: Dict[int, PageTableEntry] = {}
+        #: Prefixes of the populated level-1, level-2 and leaf tables.
+        self._l1: Set[int] = set()
+        self._l2: Set[int] = set()
+        self._l3: Set[int] = set()
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._leaves)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def map(self, vpn: int, rpn: int, channel: int) -> PageTableEntry:
         """Install (or replace) the translation for ``vpn``."""
-        node = self._root
-        indices = VirtualAddress.from_vpn(vpn).table_indices()
-        for index in indices[:-1]:
-            child = node.children.get(index)
-            if child is None:
-                child = _Node()
-                node.children[index] = child
-            node = child
-        leaf_index = indices[-1]
-        existed = leaf_index in node.children
-        entry = PageTableEntry(rpn=rpn, channel=channel)
-        node.children[leaf_index] = entry
-        if not existed:
-            self._count += 1
+        if not 0 <= vpn < _VPN_LIMIT:
+            raise _out_of_range(vpn)
+        self._l1.add(vpn >> _L1_SHIFT)
+        self._l2.add(vpn >> _L2_SHIFT)
+        self._l3.add(vpn >> LEVEL_BITS)
+        entry = self._leaves[vpn] = PageTableEntry(rpn=rpn, channel=channel)
         return entry
 
     def unmap(self, vpn: int) -> PageTableEntry:
         """Remove the translation for ``vpn``; return the removed entry."""
-        node, leaf_index = self._walk_to_leaf(vpn)
-        entry = node.children.pop(leaf_index, None)
+        if not 0 <= vpn < _VPN_LIMIT:
+            raise _out_of_range(vpn)
+        entry = self._leaves.pop(vpn, None)
         if entry is None:
             raise TranslationError(f"vpn {vpn:#x} is not mapped (app {self.app_id})")
-        self._count -= 1
         return entry
 
     def invalidate(self, vpn: int) -> PageTableEntry:
@@ -107,9 +110,9 @@ class PageTable:
     # ------------------------------------------------------------------
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
         """Return the entry for ``vpn`` or None; does not touch status bits."""
-        node, leaf_index = self._walk_to_leaf(vpn)
-        child = node.children.get(leaf_index)
-        return child if isinstance(child, PageTableEntry) else None
+        if not 0 <= vpn < _VPN_LIMIT:
+            raise _out_of_range(vpn)
+        return self._leaves.get(vpn)
 
     def translate(self, vpn: int) -> Optional[PageTableEntry]:
         """Lookup that also sets the referenced bit on a valid hit."""
@@ -122,15 +125,14 @@ class PageTable:
     def levels_touched(self, vpn: int) -> int:
         """How many radix levels a walk for ``vpn`` traverses before
         either finding the leaf or hitting a hole (for PTW latency)."""
-        node = self._root
-        indices = VirtualAddress.from_vpn(vpn).table_indices()
-        touched = 0
-        for index in indices[:-1]:
-            touched += 1
-            child = node.children.get(index)
-            if not isinstance(child, _Node):
-                return touched
-            node = child
+        if not 0 <= vpn < _VPN_LIMIT:
+            raise _out_of_range(vpn)
+        if vpn >> _L1_SHIFT not in self._l1:
+            return 1
+        if vpn >> _L2_SHIFT not in self._l2:
+            return 2
+        if vpn >> LEVEL_BITS not in self._l3:
+            return 3
         return LEVELS
 
     # ------------------------------------------------------------------
@@ -138,17 +140,9 @@ class PageTable:
     # ------------------------------------------------------------------
     def entries(self) -> Iterator[Tuple[int, PageTableEntry]]:
         """Yield (vpn, entry) pairs in ascending VPN order."""
-
-        def recurse(node: _Node, prefix: int, depth: int):
-            for index in sorted(node.children):
-                child = node.children[index]
-                vpn_part = (prefix << 9) | index
-                if isinstance(child, PageTableEntry):
-                    yield vpn_part, child
-                else:
-                    yield from recurse(child, vpn_part, depth + 1)
-
-        yield from recurse(self._root, 0, 1)
+        leaves = self._leaves
+        for vpn in sorted(leaves):
+            yield vpn, leaves[vpn]
 
     def pages_in_channel(self, channel: int) -> Iterator[Tuple[int, PageTableEntry]]:
         """Yield the (vpn, entry) pairs whose physical page lives in
@@ -166,13 +160,3 @@ class PageTable:
             if entry.valid:
                 counts[entry.channel] = counts.get(entry.channel, 0) + 1
         return counts
-
-    def _walk_to_leaf(self, vpn: int):
-        node = self._root
-        indices = VirtualAddress.from_vpn(vpn).table_indices()
-        for index in indices[:-1]:
-            child = node.children.get(index)
-            if not isinstance(child, _Node):
-                return _Node(), indices[-1]  # unmapped region
-            node = child
-        return node, indices[-1]

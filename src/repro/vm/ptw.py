@@ -9,6 +9,7 @@ makes L1-TLB flushes (PageMove's reallocation step) briefly expensive.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -55,8 +56,7 @@ class PageTableWalker:
             raise ConfigError("level latency must be positive")
         self.max_threads = max_threads
         self.level_latency = level_latency
-        #: Completion times of in-flight walks (min-heap not needed at this
-        #: scale; kept sorted on insert).
+        #: Completion times of in-flight walks, a min-heap.
         self._busy_until: List[int] = []
         self.walks = 0
         self.faults = 0
@@ -64,13 +64,16 @@ class PageTableWalker:
 
     def _admit(self, now: int) -> int:
         """Find the cycle a new walk can start, retiring finished walks."""
-        self._busy_until = [t for t in self._busy_until if t > now]
-        if len(self._busy_until) < self.max_threads:
+        busy = self._busy_until
+        while busy and busy[0] <= now:
+            heapq.heappop(busy)
+        if len(busy) < self.max_threads:
             return now
-        start = min(self._busy_until)
-        self._busy_until.remove(start)
-        # Re-filter relative to the delayed start.
-        self._busy_until = [t for t in self._busy_until if t > start]
+        # All threads busy: wait for the earliest to finish, retiring
+        # every walk done by then.
+        start = heapq.heappop(busy)
+        while busy and busy[0] <= start:
+            heapq.heappop(busy)
         return start
 
     def walk(self, table: PageTable, vpn: int, now: int) -> WalkResult:
@@ -84,7 +87,7 @@ class PageTableWalker:
         else:
             levels = LEVELS
         completed = start + levels * self.level_latency
-        self._busy_until.append(completed)
+        heapq.heappush(self._busy_until, completed)
         self.walks += 1
         self.total_latency += completed - now
         return WalkResult(

@@ -32,6 +32,12 @@ class TestQueueing:
         mc.enqueue(req())
         assert mc.queue_free_slots == config.queue_entries - 1
 
+    @pytest.mark.parametrize("bg,bank", [(4, 0), (-1, 0), (0, 4), (0, -1)])
+    def test_bank_outside_channel_rejected_at_enqueue(self, mc, bg, bank):
+        with pytest.raises(ProtocolError, match="outside the channel"):
+            mc.enqueue(req(bg=bg, bank=bank))
+        assert mc.queue == []
+
     def test_service_empty_queue_rejected(self, mc):
         with pytest.raises(ProtocolError):
             mc.service_one()

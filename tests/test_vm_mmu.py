@@ -3,7 +3,7 @@ the Figure 9 / Section 4.4 flows end to end."""
 
 import pytest
 
-from repro.errors import ConfigError, TranslationError
+from repro.errors import AllocationError, ConfigError, TranslationError
 from repro.vm import GPUDriver
 from repro.vm.mmu import MMU
 
@@ -154,6 +154,11 @@ class TestReallocationFlows:
 
 
 class TestMultiApp:
+    def test_unregistered_app_is_an_allocation_error(self, mmu):
+        with pytest.raises(AllocationError, match="app 5 is not registered"):
+            mmu.translate(0, 5, 42)
+        assert mmu.stats.walks == 0
+
     def test_address_spaces_isolated(self, driver):
         driver.register_app(1, channels=[4, 5, 6, 7])
         mmu = MMU(driver, num_sms=2)

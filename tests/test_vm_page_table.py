@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import TranslationError
+from repro.errors import AddressError, TranslationError
 from repro.vm import PageTable
 
 
@@ -108,5 +108,36 @@ class TestWalkDepth:
         diverging = 1 << 18
         assert 1 < table.levels_touched(diverging) <= 4
 
+    def test_unmap_keeps_interior_tables(self, table):
+        # unmap frees the leaf only, so a walk still reaches the leaf level.
+        table.map(42, 420, channel=0)
+        table.unmap(42)
+        assert table.levels_touched(42) == 4
+        assert table.levels_touched(1 << 9) == 3
+        assert table.levels_touched(1 << 18) == 2
+        assert table.levels_touched(1 << 27) == 1
+
     def test_cr3_distinct_per_app(self):
         assert PageTable(0).cr3 != PageTable(1).cr3
+
+
+class TestAddressRange:
+    @pytest.mark.parametrize("vpn", [-1, 1 << 36])
+    @pytest.mark.parametrize("call", [
+        lambda t, v: t.map(v, 1, channel=0),
+        lambda t, v: t.unmap(v),
+        lambda t, v: t.invalidate(v),
+        lambda t, v: t.lookup(v),
+        lambda t, v: t.translate(v),
+        lambda t, v: t.levels_touched(v),
+    ], ids=["map", "unmap", "invalidate", "lookup", "translate",
+            "levels_touched"])
+    def test_vpn_outside_the_address_space_rejected(self, table, call, vpn):
+        with pytest.raises(AddressError, match="outside 48-bit space"):
+            call(table, vpn)
+
+    def test_highest_vpn_accepted(self, table):
+        top = (1 << 36) - 1
+        table.map(top, 1, channel=0)
+        assert table.lookup(top).rpn == 1
+        assert table.levels_touched(top) == 4

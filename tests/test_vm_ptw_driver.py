@@ -4,6 +4,7 @@ GPU driver (repro.vm.ptw / channel_registry / driver)."""
 import pytest
 
 from repro.errors import AllocationError, ConfigError
+from repro.profiling import PhaseProfiler
 from repro.vm import (
     ChannelStatusRegister,
     FaultKind,
@@ -207,6 +208,35 @@ class TestGPUDriver:
         for _ in range(4):
             driver.allocate_page(0, channel=0)
         assert not driver.is_balanced(0)
+
+    @pytest.mark.parametrize("kind", [FaultKind.LOST_CHANNEL,
+                                      FaultKind.REBALANCE, FaultKind.DEMAND])
+    def test_failed_fault_closes_its_profiler_span(self, kind):
+        profiler = PhaseProfiler()
+        driver = GPUDriver(num_channel_groups=8, pages_per_channel=1,
+                           profiler=profiler)
+        driver.register_app(0, [0])
+        if kind is FaultKind.DEMAND:
+            driver.handle_fault(kind, 0, vpn=1)  # takes channel 0's only frame
+        profiler.begin("outer")
+        with pytest.raises(AllocationError):
+            driver.handle_fault(kind, 0, vpn=2)  # unmapped, or no free frame
+        assert profiler.end("outer") >= 0.0
+        assert ("outer", "vm.handle_fault") in profiler.tree()
+
+    def test_failed_migration_fault_keeps_the_old_frame(self):
+        driver = GPUDriver(num_channel_groups=2, pages_per_channel=1)
+        driver.register_app(0, [0])
+        driver.register_app(1, [1])
+        driver.handle_fault(FaultKind.DEMAND, 1, vpn=5)  # fills channel 1
+        driver.handle_fault(FaultKind.DEMAND, 0, vpn=7)  # fills channel 0
+        driver.reassign_channels(0, [1])
+        with pytest.raises(AllocationError):
+            driver.handle_fault(FaultKind.LOST_CHANNEL, 0, vpn=7)
+        entry = driver.page_tables[0].lookup(7)
+        assert (entry.rpn, entry.channel) == (0, 0)
+        assert driver.free_pages(0) == 0
+        assert driver.resident_pages(0, 0) == 1
 
     def test_channel_of_frame_bounds(self):
         driver = self.make_driver()
