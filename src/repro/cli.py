@@ -24,20 +24,13 @@ results are memoized under ``--cache-dir`` (default
 ``~/.cache/repro/sweeps`` or ``$REPRO_CACHE_DIR``) so repeated
 invocations cost near-zero; ``--no-cache`` forces fresh simulation.
 An ``ExecStats`` footer reports jobs run, cache hits, wall-clock and the
-kernel backend the jobs ran under.
+per-job timing percentiles.
 
 ``fleet`` scales the cluster extension to datacenter size: one seeded
 Poisson stream of jobs plays against every requested placement policy
 over the same fleet of nodes, with node execution sharded across the
 ``--jobs`` worker processes (results are byte-identical to a serial
 run — the ExecStats footer goes to stderr so stdout can be diffed).
-
-``run``, ``sweep``, ``arrivals`` and ``bench`` accept
-``--kernel-backend {scalar,numpy}``: the pure-python scalar oracle or
-the vectorized numpy fast path (the default when numpy is importable).
-Both produce byte-identical simulation results; only the wall-clock
-differs, which is why BENCH documents record the backend and the compare
-gate refuses to verdict across backends.
 
 ``sweep`` and ``fleet`` additionally accept the cross-process
 observability flags: ``--trace-out PREFIX`` records a merged timeline —
@@ -71,8 +64,8 @@ loads a bundle (:mod:`repro.inspect`) and prints typed findings —
 critical path, stragglers, wait-queue dynamics, phase rollups, cache
 effectiveness — plus the hot-phase table; ``repro diff A B`` separates
 determinism drift (results, deterministic counters, artifact meta
-counts — required zero between identical-seed runs, whatever the
-kernel backend) from expected timing deltas and attributes wall-time
+counts — required zero between identical-seed runs) from expected
+timing deltas and attributes wall-time
 change to specific span paths.  Both write self-contained single-file
 HTML reports via ``--html``.
 
@@ -101,11 +94,6 @@ from repro.exec import (
     SweepJob,
     registered_policies,
 )
-from repro.fastpath import (
-    KERNEL_BACKENDS,
-    resolve_kernel_backend,
-    set_default_kernel_backend,
-)
 from repro.policies import BPPolicy, MPSPolicy, UGPUPolicy
 from repro.workloads import heterogeneous_pairs, poisson_arrivals
 
@@ -123,15 +111,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel-backend", default=None,
-                        choices=list(KERNEL_BACKENDS),
-                        help="simulation hot-loop implementation: 'scalar' "
-                             "is the pure-python oracle, 'numpy' the "
-                             "vectorized fast path (default: numpy when "
-                             "importable; results are byte-identical)")
-
-
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="worker processes for the sweep executor "
@@ -141,18 +120,6 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
                              "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache and re-simulate")
-
-
-def _job_kwargs(args) -> Optional[dict]:
-    """Sweep-job kwargs implied by global flags.
-
-    An explicit ``--kernel-backend`` travels with each job so worker
-    processes honor it and the result cache keys the two backends apart;
-    the default (auto-resolution) adds nothing, keeping pre-existing
-    cache entries valid.
-    """
-    backend = getattr(args, "kernel_backend", None)
-    return {"kernel_backend": backend} if backend else None
 
 
 def _executor_from(args, metrics=None) -> SweepExecutor:
@@ -197,7 +164,7 @@ def _metrics_session(args, **extra):
     )
 
     registry = MetricsRegistry()
-    stamp(registry, None, kernel_backend=resolve_kernel_backend(), **extra)
+    stamp(registry, None, **extra)
     sampler = None
     if args.metrics_csv:
         sampler = CsvSampler(args.metrics_csv)
@@ -359,7 +326,6 @@ def _parser() -> argparse.ArgumentParser:
                      help="simulation horizon in GPU cycles")
     _add_exec_flags(run)
     _add_metrics_flags(run)
-    _add_backend_flag(run)
 
     sweep = sub.add_parser("sweep", help="run the 50 heterogeneous mixes")
     sweep.add_argument("--policies", nargs="+", default=["bp", "ugpu"],
@@ -369,7 +335,6 @@ def _parser() -> argparse.ArgumentParser:
     _add_metrics_flags(sweep)
     _add_obs_flags(sweep)
     _add_report_flags(sweep)
-    _add_backend_flag(sweep)
 
     qos = sub.add_parser("qos", help="QoS scenario: high-priority "
                                      "compute-bound app (Figure 16)")
@@ -400,7 +365,6 @@ def _parser() -> argparse.ArgumentParser:
     _add_metrics_flags(arrivals)
     _add_obs_flags(arrivals)
     _add_report_flags(arrivals)
-    _add_backend_flag(arrivals)
 
     fleet = sub.add_parser(
         "fleet",
@@ -444,7 +408,6 @@ def _parser() -> argparse.ArgumentParser:
     _add_metrics_flags(fleet)
     _add_obs_flags(fleet)
     _add_report_flags(fleet)
-    _add_backend_flag(fleet)
 
     trace = sub.add_parser("trace", help="run one mix with tracing enabled "
                                          "and export the timeline")
@@ -534,7 +497,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="record each scenario's top self-time span "
                             "paths (one extra profiled run) so --compare "
                             "can attribute regressions to specific paths")
-    _add_backend_flag(bench)
 
     inspect_cmd = sub.add_parser(
         "inspect",
@@ -581,8 +543,7 @@ def cmd_run(args) -> int:
     registry, finish_metrics = _metrics_session(
         args, command="run", mix="_".join(abbrs))
     executor = _executor_from(args, metrics=registry)
-    jobs = [SweepJob.build(name, abbrs, args.cycles, kwargs=_job_kwargs(args))
-            for name in args.policy]
+    jobs = [SweepJob.build(name, abbrs, args.cycles) for name in args.policy]
     results = executor.run(jobs)
     print(f"{'policy':<14} {'STP':>7} {'ANTT':>7} {'min NP':>7}  per-app NP")
     for name, result in zip(args.policy, results):
@@ -613,7 +574,7 @@ def cmd_sweep(args) -> int:
         cache = ResultCache(args.cache_dir or default_cache_dir())
     executor = SweepExecutor(jobs=args.jobs, cache=cache, metrics=registry,
                              tracer=recorder, log=obslog, capture=capture)
-    jobs = [SweepJob.build(name, pair, args.cycles, kwargs=_job_kwargs(args))
+    jobs = [SweepJob.build(name, pair, args.cycles)
             for name in args.policies for pair in pairs]
     results = executor.run(jobs)
     if capture:
@@ -1065,12 +1026,6 @@ def cmd_diff(args) -> int:
 
 def main(argv: Sequence[str] = None) -> int:
     args = _parser().parse_args(argv)
-    backend = getattr(args, "kernel_backend", None)
-    if backend is not None:
-        # Process-wide default for every system this command constructs,
-        # plus the environment variable so spawned pool workers inherit it.
-        set_default_kernel_backend(backend)
-        os.environ["REPRO_KERNEL_BACKEND"] = backend
     handlers = {
         "catalog": cmd_catalog,
         "run": cmd_run,

@@ -27,9 +27,8 @@ Per round each tenant runs on a slice of its node:
   4-SM / 4-channel slice floors — the paper's unbalanced-slice
   construction at cluster granularity.
 
-The slice IPC comes from the shared scalar oracle
-(:meth:`~repro.gpu.performance.PerformanceModel.throughput`), so fleet
-results are identical under both kernel backends by construction.
+The slice IPC comes from the shared roofline model
+(:meth:`~repro.gpu.performance.PerformanceModel.throughput`).
 """
 
 from __future__ import annotations
@@ -251,9 +250,6 @@ class FleetShardJob:
     slicing: str = "ugpu"
     config: GPUConfig = field(default_factory=GPUConfig)
     label: str = "fleet"
-    #: Executor-facing kwargs slot (kept empty; present so the executor's
-    #: backend bookkeeping treats shard jobs like sweep jobs).
-    kwargs: Tuple = ()
 
     #: Display attributes the executor's trace/stats plumbing reads.
     policy = "fleet-shard"

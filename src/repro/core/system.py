@@ -40,7 +40,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.slices import PartitionState, ResourceAllocation
 from repro.errors import ConfigError, SimulationError
-from repro.fastpath import resolve_kernel_backend
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Application
 from repro.gpu.performance import PerformanceModel, SliceThroughput
@@ -227,7 +226,6 @@ class MultitaskSystem:
         max_slots: Optional[int] = None,
         metrics=None,
         profiler=None,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         """``total_memory_bytes`` enables memory-oversubscription modelling
         (paper Sections 3.2 and 5): each slice's capacity is proportional
@@ -261,12 +259,12 @@ class MultitaskSystem:
         :class:`~repro.core.profiler.EpochProfiler` for backward
         compatibility.
 
-        ``kernel_backend`` selects the hot-loop implementation:
-        ``"scalar"`` (the pure-python golden oracle) or ``"numpy"`` (the
-        batched fast path in :mod:`repro.fastpath`, byte-identical to the
-        oracle).  ``None`` defers to :func:`resolve_kernel_backend`
-        (process override, then ``REPRO_KERNEL_BACKEND``, then
-        auto-detection)."""
+        The epoch loop itself is :class:`repro.fastpath.epoch.FastEpochKernel`,
+        which caches each resident's slice throughput between kernel
+        crossings and repartitions."""
+        if epoch_cycles <= 0:
+            raise ConfigError(
+                f"epoch_cycles must be positive, got {epoch_cycles}")
         if policy is None:
             from repro.policies.base import PartitionPolicy
 
@@ -276,10 +274,6 @@ class MultitaskSystem:
             # their class-level policy_name.
             self.policy_name = policy.policy_name
         self.policy = policy
-        #: The batched epoch kernel (``None`` under the scalar backend).
-        #: Must exist before any policy hook can touch the partition.
-        self._fast = None
-        self.kernel_backend = resolve_kernel_backend(kernel_backend)
         self._open = arrivals is not None and len(arrivals) > 0
         if not applications and not self._open:
             raise ConfigError("need at least one application")
@@ -293,6 +287,11 @@ class MultitaskSystem:
         self.fault_model = (
             FaultOverheadModel(config) if total_memory_bytes is not None else None
         )
+        from repro.fastpath.epoch import FastEpochKernel
+
+        #: The epoch loop.  Must exist before any policy hook can touch
+        #: the partition.
+        self._kernel = FastEpochKernel(self)
         self.tracer = tracer
         self.metrics = metrics
         self.phase_profiler = profiler
@@ -320,7 +319,7 @@ class MultitaskSystem:
             self._m_memo_entries = _names.perf_memo_entries(metrics)
         self._memo_hits_seen = 0
         self._memo_misses_seen = 0
-        #: Cycle stamp for trace records emitted outside :meth:`_step`
+        #: Cycle stamp for trace records emitted outside the epoch step
         #: (e.g. QoS enforcement during construction happens at cycle 0).
         self._trace_now = 0
         self.repartitions = 0
@@ -352,10 +351,6 @@ class MultitaskSystem:
             )
         self.max_slots = max_slots
         self.policy.on_start()
-        if self.kernel_backend == "numpy":
-            from repro.fastpath.epoch import FastEpochKernel
-
-            self._fast = FastEpochKernel(self)
 
     def __getattr__(self, name: str):
         # Compatibility: pre-refactor subclasses exposed policy state
@@ -371,16 +366,10 @@ class MultitaskSystem:
         )
 
     # ------------------------------------------------------------------
-    # Hooks (delegated to the policy; legacy subclasses may override)
+    # Hooks (delegated to the policy)
     # ------------------------------------------------------------------
     def initial_partition(self, applications: Sequence[Application]) -> PartitionState:
         return self.policy.initial_partition(applications)
-
-    def throughput_for(self, state: AppState) -> SliceThroughput:
-        return self.policy.throughput_for(state)
-
-    def at_epoch_end(self, epoch_index: int, span: int) -> None:
-        self.policy.on_epoch_end(epoch_index, span)
 
     def slice_throughput(self, state: AppState) -> SliceThroughput:
         """Evaluate the app's current kernel on its isolated slice (the
@@ -405,94 +394,11 @@ class MultitaskSystem:
         return charge.throughput_factor
 
     # ------------------------------------------------------------------
-    # Epoch step
+    # Epoch bookkeeping shared with the epoch loop
     # ------------------------------------------------------------------
-    def _step(self, epoch_index: int, span: int) -> EpochResult:
-        if self._fast is not None:
-            return self._fast.step(epoch_index, span)
-        return self._step_scalar(epoch_index, span)
-
-    def _step_scalar(self, epoch_index: int, span: int) -> EpochResult:
-        """The golden-oracle epoch step (``kernel_backend="scalar"``)."""
-        prof = self.phase_profiler
-        if prof is not None:
-            prof.begin("epoch")
-            prof.begin("epoch.advance")
-        instructions: Dict[int, int] = {}
-        migration_cycles = 0.0
-        for state in self.apps.values():
-            throughput = self.throughput_for(state)
-            lost = 0.0
-            consumed: List[PenaltyCharge] = []
-            for charge in state.penalties:
-                take_window = min(charge.window_cycles, span)
-                lost += take_window * charge.factor
-                if charge.counts_as_migration:
-                    migration_cycles = max(migration_cycles, take_window)
-                if charge.window_cycles > span:
-                    consumed.append(
-                        PenaltyCharge(
-                            charge.window_cycles - span,
-                            charge.factor,
-                            charge.counts_as_migration,
-                        )
-                    )
-            state.penalties = consumed
-            effective = max(0.0, span - lost)
-            capacity_factor = self.capacity_factor(state, throughput)
-            retired = int(throughput.ipc * effective * capacity_factor)
-            state.app.advance(retired)
-            state.instructions += retired
-            state.dram_bytes += throughput.dram_bytes_per_cycle * effective
-            instructions[state.app_id] = retired
-
-        result = EpochResult(
-            index=epoch_index,
-            start_cycle=epoch_index * self.epoch_cycles,
-            end_cycle=epoch_index * self.epoch_cycles + span,
-            instructions=instructions,
-            migration_cycles=int(migration_cycles),
-            repartitioned=False,
-        )
-        before = self.repartitions
-        self._trace_now = result.end_cycle
-        if prof is not None:
-            prof.end("epoch.advance")
-            prof.begin("epoch.policy")
-        if self.apps:
-            self.at_epoch_end(epoch_index, span)
-        if prof is not None:
-            prof.end("epoch.policy")
-        if self._open:
-            if prof is not None:
-                with prof.span("epoch.lifecycle"):
-                    self._process_boundary(result.end_cycle)
-            else:
-                self._process_boundary(result.end_cycle)
-        result.repartitioned = self.repartitions > before
-        # Snapshot the (possibly just-updated) partition for dynamics
-        # analysis: {app_id: (sms, channels)} at the end of this epoch.
-        result.detail["allocations"] = {
-            app_id: (state.allocation.sms, state.allocation.channels)
-            for app_id, state in self.apps.items()
-        }
-        if self.tracer is not None:
-            self.tracer.emit(
-                "epoch", f"epoch[{epoch_index}]",
-                time=result.start_cycle, duration=span,
-                instructions=sum(instructions.values()),
-                migration_cycles=result.migration_cycles,
-                repartitioned=result.repartitioned,
-            )
-        if self.metrics is not None:
-            self._epoch_metrics(result, span, instructions)
-        if prof is not None:
-            prof.end("epoch")
-        return result
-
     def _epoch_metrics(self, result: EpochResult, span: int,
                        instructions: Dict[int, int]) -> None:
-        """Per-epoch metrics updates (shared by both kernel backends)."""
+        """Per-epoch metrics updates."""
         self._m_epochs.inc()
         self._m_epoch_cycles.inc(span)
         self._m_epoch_hist.observe(span)
@@ -579,13 +485,13 @@ class MultitaskSystem:
         is 25M).  Closed runs (no arrival schedule) return a
         :class:`SystemResult`; open runs return an
         :class:`OpenSystemResult`."""
+        if total_cycles <= 0:
+            raise ConfigError(
+                f"total_cycles must be positive, got {total_cycles}")
         if self._open:
             return self._run_open(total_cycles, mix_name)
-        runner = EpochRunner(self.epoch_cycles)
-        if self._fast is not None:
-            epochs = self._fast.drive(runner, total_cycles)
-        else:
-            epochs = runner.run(self._step_scalar, total_cycles)
+        epochs = self._kernel.drive(EpochRunner(self.epoch_cycles),
+                                    total_cycles)
         alone = self.alone_ipcs(total_cycles)
         runs = []
         for state in self.apps.values():
@@ -612,9 +518,8 @@ class MultitaskSystem:
 
     def _run_open(self, total_cycles: int,
                   mix_name: Optional[str]) -> OpenSystemResult:
-        runner = EpochRunner(self.epoch_cycles)
-        step = self._fast.step if self._fast is not None else self._step_scalar
-        epochs = runner.run(step, total_cycles, stop_when=self._drained)
+        epochs = EpochRunner(self.epoch_cycles).run(
+            self._kernel.step, total_cycles, stop_when=self._drained)
         runs = []
         for state in self._admitted_order:
             if state.depart_cycle is None and state.admit_cycle >= total_cycles:
@@ -649,10 +554,8 @@ class MultitaskSystem:
             arrivals=self.arrivals_seen,
             admissions=self.admissions,
             departures=self.departures,
-            provenance=collect_provenance(
-                self.config, policy=self.policy_name,
-                kernel_backend=self.kernel_backend,
-            ),
+            provenance=collect_provenance(self.config,
+                                          policy=self.policy_name),
         )
         self._finish_metrics(result)
         return result
@@ -735,40 +638,18 @@ class MultitaskSystem:
         if cached is not None:
             return cached
         prof = self.phase_profiler
-        if prof is not None:
-            prof.begin("run.solo_ipc")
-        if self._fast is not None:
-            instructions = self._fast.solo_instructions(app, total_cycles)
+        if prof is None:
+            instructions = self._kernel.solo_instructions(app, total_cycles)
         else:
-            solo = app.clone()
-            instructions = 0
-            elapsed = 0
-            while elapsed < total_cycles:
-                span = min(self.epoch_cycles, total_cycles - elapsed)
-                t = self.perf.throughput(
-                    solo.current_kernel, self.config.num_sms,
-                    self.config.num_channels
-                )
-                factor = 1.0
-                if self.fault_model is not None:
-                    charge = self.fault_model.charge(
-                        solo.footprint_bytes,
-                        float(self.total_memory_bytes),
-                        t.dram_bytes_per_cycle,
-                    )
-                    factor = charge.throughput_factor
-                retired = int(t.ipc * span * factor)
-                solo.advance(retired)
-                instructions += retired
-                elapsed += span
+            with prof.span("run.solo_ipc"):
+                instructions = self._kernel.solo_instructions(
+                    app, total_cycles)
         if instructions <= 0:
             raise SimulationError(
                 f"{app.name}: solo run retired no instructions"
             )
         ipc = instructions / total_cycles
         _SOLO_IPC_CACHE[key] = ipc
-        if prof is not None:
-            prof.end("run.solo_ipc")
         return ipc
 
     # ------------------------------------------------------------------
@@ -780,16 +661,14 @@ class MultitaskSystem:
         previous = self.apps[app_id].allocation
         self.partition.assign(app_id, allocation)
         self.apps[app_id].allocation = allocation
-        if self._fast is not None:
-            self._fast.partition_changed()
+        self._kernel.partition_changed()
         return previous
 
     def apply_partition(self, allocations: Mapping[int, ResourceAllocation]) -> None:
         self.partition.assign_all(dict(allocations))
         for app_id, allocation in allocations.items():
             self.apps[app_id].allocation = allocation
-        if self._fast is not None:
-            self._fast.partition_changed()
+        self._kernel.partition_changed()
 
     def replace_partition(self, partition: PartitionState) -> None:
         """Swap in a freshly constructed partition (MPS membership
@@ -798,8 +677,7 @@ class MultitaskSystem:
         self.partition = partition
         for app_id, state in self.apps.items():
             state.allocation = partition.allocation(app_id)
-        if self._fast is not None:
-            self._fast.partition_changed()
+        self._kernel.partition_changed()
 
     def add_penalty(self, app_id: int, window_cycles: float, factor: float,
                     counts_as_migration: bool = True) -> None:

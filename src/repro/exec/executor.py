@@ -55,7 +55,6 @@ from repro.exec.cache import ResultCache
 from repro.exec.envelope import JobEnvelope, execute_job_enveloped
 from repro.exec.jobs import SweepJob, execute_job_timed
 from repro.exec.stats import ExecStats
-from repro.fastpath import resolve_kernel_backend
 
 
 class SweepExecutor:
@@ -120,18 +119,6 @@ class SweepExecutor:
             capture = self.capture
         start = time.perf_counter()
         stats = ExecStats(jobs_total=len(sweep_jobs), workers=self.jobs)
-        # Record the backend the jobs resolve to, so timing footers flag
-        # cross-backend comparisons; a job kwarg overrides the process
-        # default, and disagreeing jobs mark the whole run "mixed".
-        default_backend = resolve_kernel_backend()
-        backends = {
-            str(dict(job.kwargs).get("kernel_backend") or default_backend)
-            for job in sweep_jobs
-        }
-        stats.kernel_backend = (
-            backends.pop() if len(backends) == 1 else
-            "mixed" if backends else default_backend
-        )
         results: List[Optional[SystemResult]] = [None] * len(sweep_jobs)
         envelopes: List[Optional[JobEnvelope]] = [None] * len(sweep_jobs)
 
@@ -228,7 +215,6 @@ class SweepExecutor:
                 "exec.run", jobs=stats.jobs_total, run=stats.jobs_run,
                 cache_hits=stats.cache_hits, workers=stats.workers,
                 wall_seconds=round(stats.wall_seconds, 6),
-                backend=stats.kernel_backend or None,
             )
         return results  # type: ignore[return-value]
 

@@ -55,7 +55,6 @@ RUNNER_KWARGS = frozenset(
         "max_slots",
         "metrics",
         "profiler",
-        "kernel_backend",
     }
 )
 

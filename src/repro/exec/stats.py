@@ -37,10 +37,6 @@ class ExecStats:
     wall_seconds: float = 0.0
     workers: int = 1
     job_seconds: List[float] = field(default_factory=list)
-    #: Kernel backend the jobs ran under ("scalar"/"numpy"); "mixed" when
-    #: merged runs disagree, "" when no run recorded one.  Timings from
-    #: different backends are not comparable, so the footer surfaces it.
-    kernel_backend: str = ""
 
     @property
     def p50_seconds(self) -> float:
@@ -88,11 +84,6 @@ class ExecStats:
         self.wall_seconds += other.wall_seconds
         self.workers = max(self.workers, other.workers)
         self.job_seconds.extend(other.job_seconds)
-        if other.kernel_backend:
-            if not self.kernel_backend:
-                self.kernel_backend = other.kernel_backend
-            elif self.kernel_backend != other.kernel_backend:
-                self.kernel_backend = "mixed"
         return self
 
     def to_dict(self) -> Dict[str, Any]:
@@ -106,7 +97,6 @@ class ExecStats:
             "wall_seconds": self.wall_seconds,
             "workers": self.workers,
             "job_seconds": list(self.job_seconds),
-            "kernel_backend": self.kernel_backend,
         }
 
     @classmethod
@@ -124,7 +114,6 @@ class ExecStats:
             wall_seconds=float(payload.get("wall_seconds", 0.0)),
             workers=int(payload.get("workers", 1)),
             job_seconds=[float(s) for s in payload.get("job_seconds", [])],
-            kernel_backend=str(payload.get("kernel_backend", "")),
         )
 
     def format(self) -> str:
@@ -136,8 +125,6 @@ class ExecStats:
             f"workers {self.workers}",
             f"wall {self.wall_seconds:.2f}s",
         ]
-        if self.kernel_backend:
-            parts.append(f"backend {self.kernel_backend}")
         if self.job_seconds:
             parts.append(
                 f"per-job min {self.min_seconds * 1e3:.1f}ms "

@@ -1,17 +1,17 @@
-"""Batched epoch advance: the numpy backend's replacement for the
-per-app python loop in :meth:`repro.core.system.MultitaskSystem._step_scalar`.
+"""The epoch loop of :class:`repro.core.system.MultitaskSystem`.
 
-The scalar step re-derives every application's slice throughput every
-epoch even though the inputs — the app's current kernel and its
-:class:`ResourceAllocation` — change only at kernel boundaries and
-repartitions.  :class:`FastEpochKernel` caches one slot per resident
-application holding the last :class:`SliceThroughput` plus the tokens
-that prove it is still valid, refreshes the stale slots through the
-vectorized :meth:`PerformanceModel.throughput_batch`, and advances the
-whole resident set with an inlined fast path of
-:meth:`Application.advance`.  Every arithmetic operation is performed in
-the same order as the scalar oracle, so results are byte-identical (the
-golden regression runs under both backends).
+Every epoch advances each resident application at its slice's roofline
+rate, charges pending reallocation penalties, then lets the policy
+repartition (paper Figure 5).  A slice throughput depends on the app's
+current kernel and its :class:`ResourceAllocation`, which change only at
+kernel boundaries and repartitions, so :class:`FastEpochKernel` caches
+one slot per resident application holding the last
+:class:`SliceThroughput` plus the tokens that prove it is still valid,
+refreshes the stale slots through :meth:`PerformanceModel.throughput`,
+and advances the whole resident set with an inlined fast path of
+:meth:`Application.advance`.  Its correctness contract is the frozen
+golden fixtures under ``tests/golden/``, which every change to this
+loop must reproduce byte for byte.
 
 How much the cache may assume depends on the policy, declared via
 ``PartitionPolicy.throughput_dependence``:
@@ -19,17 +19,15 @@ How much the cache may assume depends on the policy, declared via
 * ``"slice"`` — ``throughput_for`` is exactly ``slice_throughput`` plus
   the ``observe_throughput`` side-effect hook (the base contract).  The
   throughput depends only on (kernel, sms, channels); stale slots are
-  batch-refreshed up front and the hook is invoked every epoch in app
-  order, like the scalar loop.
+  refreshed up front and the hook is invoked every epoch in app order.
 * ``"resident-set"`` — the throughput also depends on the *other*
   residents (MPS's shared-memory contention).  Slots are keyed on a
   mutation counter that bumps whenever any app crosses a kernel boundary
   or the partition changes, and dirty slots are recomputed through
-  ``policy.throughput_for`` at their in-order turn — reproducing the
-  scalar loop's mid-epoch ordering (app B sees app A's new kernel in the
-  same epoch) exactly.
+  ``policy.throughput_for`` at their in-order turn, so app B sees app
+  A's new kernel in the same epoch.
 * ``"stateful"`` — no caching: ``throughput_for`` is called every epoch
-  for every app, like the oracle.  This is the conservative fallback for
+  for every app.  This is the conservative fallback for
   any policy subclass that overrides ``throughput_for`` without
   re-declaring its dependence (the declaration must come from a class at
   the same or lower MRO position as the override to be trusted).
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.system import MultitaskSystem, PenaltyCharge
+from repro.core.system import PenaltyCharge
 from repro.policies.base import PartitionPolicy
 from repro.sim.epoch import EpochResult
 
@@ -65,9 +63,9 @@ class _Slot:
 
 
 class FastEpochKernel:
-    """The numpy backend's epoch step, bound to one runner."""
+    """The epoch step, bound to one runner."""
 
-    def __init__(self, runner: MultitaskSystem) -> None:
+    def __init__(self, runner) -> None:
         self.runner = runner
         #: Bumped whenever any input a cached throughput could depend on
         #: changes: a partition update, or any app crossing a kernel
@@ -87,40 +85,22 @@ class FastEpochKernel:
         #: kernel crossing, both of which we observe; between them the
         #: per-epoch validity scan is skipped outright.
         self._maybe_dirty = True
-        runner_cls = type(runner)
         policy = runner.policy
-        # A legacy system subclass that overrides the throughput hooks
-        # changes what "slice throughput" means; fall back to calling the
-        # runner's hook every epoch.
-        self._runner_default_hooks = (
-            runner_cls.throughput_for is MultitaskSystem.throughput_for
-            and runner_cls.slice_throughput is MultitaskSystem.slice_throughput
-        )
-        self._capacity_default = (
-            runner_cls.capacity_factor is MultitaskSystem.capacity_factor
-        )
+        policy_cls = type(policy)
         # fault_model and total_memory_bytes are fixed at construction.
-        self._fault_free = self._capacity_default and runner.fault_model is None
-        self.dependence = (
-            self._resolve_dependence(policy)
-            if self._runner_default_hooks else "stateful"
-        )
+        self._fault_free = runner.fault_model is None
+        self.dependence = self._resolve_dependence(policy)
         self._observe = (
             policy.observe_throughput
-            if type(policy).observe_throughput
+            if policy_cls.observe_throughput
             is not PartitionPolicy.observe_throughput
             else None
         )
-        # Resolve the boundary hook once: None when both the runner's and
-        # the policy's are the base no-ops (static policies), otherwise
-        # the bound method the scalar dispatch chain would reach.
-        if (runner_cls.at_epoch_end is MultitaskSystem.at_epoch_end
-                and type(policy).on_epoch_end is PartitionPolicy.on_epoch_end):
-            self._epoch_hook = None
-        elif runner_cls.at_epoch_end is MultitaskSystem.at_epoch_end:
-            self._epoch_hook = policy.on_epoch_end
-        else:
-            self._epoch_hook = runner.at_epoch_end
+        # The boundary hook, or None for the base no-op (static policies).
+        self._epoch_hook = (
+            None if policy_cls.on_epoch_end is PartitionPolicy.on_epoch_end
+            else policy.on_epoch_end
+        )
 
     @staticmethod
     def _resolve_dependence(policy) -> str:
@@ -186,11 +166,8 @@ class FastEpochKernel:
         until the next crossing is emitted in a tight loop — per-epoch
         results stay identical, per-app state is advanced in bulk (the
         float DRAM accumulator still performs one addition per epoch to
-        preserve the scalar summation order bit-for-bit).
+        preserve the per-epoch summation order bit-for-bit).
         """
-        if total_cycles <= 0:
-            raise ValueError(
-                f"total_cycles must be positive, got {total_cycles}")
         runner = self.runner
         epoch_cycles = epoch_runner.epoch_cycles
         results = epoch_runner.results
@@ -369,15 +346,13 @@ class FastEpochKernel:
             self._maybe_dirty = bumps > 0 or open_system
         else:
             policy_throughput = runner.policy.throughput_for
-            runner_throughput = runner.throughput_for
             resident_set = dependence == "resident-set"
             for slot in ordered:
                 state = slot.state
                 if resident_set:
                     # Validation happens inside the loop: an earlier
                     # app's kernel change must dirty the later apps'
-                    # slots within the same epoch (the scalar loop's
-                    # mid-epoch ordering).
+                    # slots within the same epoch.
                     if slot.mut != self.mutation_count:
                         throughput = policy_throughput(state)
                         slot.throughput = throughput
@@ -388,7 +363,7 @@ class FastEpochKernel:
                     else:
                         throughput = slot.throughput
                 else:
-                    throughput = runner_throughput(state)
+                    throughput = policy_throughput(state)
                     slot.throughput = throughput
                     slot.ipc = throughput.ipc
                     slot.dram = throughput.dram_bytes_per_cycle
@@ -435,7 +410,7 @@ class FastEpochKernel:
                 state.dram_bytes += slot.dram * effective
                 instructions[slot.app_id] = retired
 
-        # ---- epilogue (identical to the scalar step) ------------------
+        # ---- epilogue ------------------------------------------------
         start_cycle = epoch_index * runner.epoch_cycles
         result = EpochResult(
             index=epoch_index,
@@ -494,18 +469,14 @@ class FastEpochKernel:
         return result
 
     def _refresh_slice_slots(self, dirty: List[_Slot]) -> None:
-        """Batch-recompute the stale slice throughputs (memo-first)."""
-        kernels = []
-        sms = []
-        channels = []
+        """Recompute the stale slice throughputs (memo-first)."""
+        throughput_of = self.runner.perf.throughput
         for slot in dirty:
-            state = slot.state
-            kernels.append(slot.app.current_kernel)
-            sms.append(state.allocation.sms)
-            channels.append(state.allocation.channels)
-        results = self.runner.perf.throughput_batch(kernels, sms, channels)
-        for slot, kernel, throughput in zip(dirty, kernels, results):
-            slot.alloc = slot.state.allocation
+            kernel = slot.app.current_kernel
+            allocation = slot.state.allocation
+            throughput = throughput_of(kernel, allocation.sms,
+                                       allocation.channels)
+            slot.alloc = allocation
             slot.kidx = slot.progress.kernel_index
             slot.throughput = throughput
             slot.ipc = throughput.ipc
@@ -516,13 +487,14 @@ class FastEpochKernel:
     # Epoch-batched solo run (the Equation 3/4 denominator)
     # ------------------------------------------------------------------
     def solo_instructions(self, app, total_cycles: int) -> int:
-        """Instructions the app retires running alone for the horizon.
+        """Instructions the app retires running alone on the whole GPU
+        for the horizon, epoch by epoch.
 
-        Bit-identical to the scalar per-epoch loop: as long as the solo
-        app stays inside one kernel, every full epoch retires the same
-        ``int(ipc * span * factor)``, so ``k`` such epochs collapse into
-        one ``advance(retired * k)`` call (``Application.advance`` is
-        additive, including the first-launch instruction capture).
+        As long as the solo app stays inside one kernel, every full epoch
+        retires the same ``int(ipc * span * factor)``, so ``k`` such
+        epochs collapse into one ``advance(retired * k)`` call
+        (``Application.advance`` is additive, including the first-launch
+        instruction capture).
         """
         runner = self.runner
         perf = runner.perf

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.errors import ConfigError
 from repro.gpu.config import GPUConfig
@@ -204,18 +204,6 @@ class PerformanceModel:
             dram_bytes_per_cycle=ipc * bytes_per_instr * (1.0 - hit),
             llc_hit_rate=hit,
         ))
-
-    def throughput_batch(self, kernels: Sequence[Kernel],
-                         sms: Sequence[int],
-                         channels: Sequence[int]) -> List[SliceThroughput]:
-        """Vectorized :meth:`throughput` over a batch of slices.
-
-        Bit-identical to calling :meth:`throughput` per element (the
-        numpy kernel backend relies on this); requires numpy.
-        """
-        from repro.fastpath.batch import compute_batch
-
-        return compute_batch(self, kernels, sms, channels)
 
     def alone_ipc(self, kernel: Kernel) -> float:
         """IPC with the whole GPU (the :math:`IPC^{alone}` of Equations

@@ -238,14 +238,12 @@ class RunReporter:
             )
         if results is not None:
             self._write_json("results", "results.json", results)
-        from repro.fastpath import resolve_kernel_backend
         from repro.telemetry.provenance import collect_provenance
 
         manifest: Dict[str, Any] = {
             "schema": BUNDLE_SCHEMA,
             "command": self.command,
             "run_id": self.run_id,
-            "kernel_backend": resolve_kernel_backend(),
             "provenance": collect_provenance(command=self.command),
             "dropped_events": int(self.recorder.dropped),
             "artifacts": dict(sorted(self._artifacts.items())),

@@ -4,9 +4,8 @@
 
 * **Result divergence** — the command's deterministic results payload
   (fleet summaries, sweep policy stats...).  Two identical-seed,
-  identical-config runs must agree byte-for-byte here, whatever the
-  kernel backend; any delta is a determinism bug (the paper's
-  scalar-vs-numpy oracle contract, applied post hoc).
+  identical-config runs must agree byte-for-byte here; any delta is a
+  determinism bug.
 * **Metric divergence** — deterministic counters/gauges (event counts,
   job totals, cache traffic).  Same contract as results; timing-derived
   families are excluded by name.
@@ -18,7 +17,7 @@
   tells you *which code path* got slower, not just that the run did.
 
 ``zero_divergence`` holds iff both divergence lists are empty — the
-property the CI inspect smoke asserts across backends.
+property the CI inspect smoke asserts between identical-seed runs.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ class BundleDiff:
     timing_deltas: List[MetricDelta] = field(default_factory=list)
     #: Phase self-time attribution ranked by |absolute change|.
     span_deltas: List[SpanDelta] = field(default_factory=list)
-    #: Run-shape observations (backend/command/run_id differences).
+    #: Run-shape observations (command/run_id differences).
     notes: List[str] = field(default_factory=list)
 
     @property
@@ -192,12 +191,6 @@ def _diff_notes(diff: BundleDiff) -> None:
         diff.notes.append(
             f"run_ids differ: {diff.a.run_id} vs {diff.b.run_id} — "
             "the runs were configured differently"
-        )
-    if diff.a.kernel_backend != diff.b.kernel_backend:
-        diff.notes.append(
-            f"kernel backends differ: {diff.a.kernel_backend} vs "
-            f"{diff.b.kernel_backend} — result divergence below would "
-            "be an oracle violation; timing deltas are the comparison"
         )
     counts_a = diff.a.manifest.get("counts", {})
     counts_b = diff.b.manifest.get("counts", {})

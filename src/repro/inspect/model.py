@@ -64,10 +64,6 @@ class RunModel:
         return str(self.manifest.get("command", ""))
 
     @property
-    def kernel_backend(self) -> str:
-        return str(self.manifest.get("kernel_backend", ""))
-
-    @property
     def dropped_events(self) -> int:
         return int(self.manifest.get("dropped_events", 0))
 

@@ -35,7 +35,6 @@ def render_text(model: RunModel, findings: List[Finding],
         f"run bundle: {model.path}",
         f"  command:        {model.command}",
         f"  run_id:         {model.run_id}",
-        f"  kernel_backend: {model.kernel_backend}",
         f"  dropped_events: {model.dropped_events}",
     ]
     counts = model.manifest.get("counts", {})
@@ -100,7 +99,6 @@ def _meta_rows(model: RunModel) -> str:
     rows = [
         ("command", model.command),
         ("run_id", model.run_id),
-        ("kernel_backend", model.kernel_backend),
         ("dropped_events", model.dropped_events),
     ]
     counts = model.manifest.get("counts", {})
@@ -167,10 +165,8 @@ def render_diff_text(diff: BundleDiff, top: int = 10) -> str:
     """The ``repro diff`` report; verdict line is IDENTICAL/DIVERGED."""
     lines = [
         f"diff: {diff.a.path} vs {diff.b.path}",
-        f"  A: command={diff.a.command} run_id={diff.a.run_id} "
-        f"backend={diff.a.kernel_backend}",
-        f"  B: command={diff.b.command} run_id={diff.b.run_id} "
-        f"backend={diff.b.kernel_backend}",
+        f"  A: command={diff.a.command} run_id={diff.a.run_id}",
+        f"  B: command={diff.b.command} run_id={diff.b.run_id}",
     ]
     for note in diff.notes:
         lines.append(f"  note: {note}")
@@ -270,10 +266,8 @@ def render_diff_html(diff: BundleDiff, top: int = 25) -> str:
     )
     parts.append(
         '<p class="meta">'
-        f"A: {_esc(diff.a.command)} / {_esc(diff.a.run_id)} / "
-        f"{_esc(diff.a.kernel_backend)}<br>"
-        f"B: {_esc(diff.b.command)} / {_esc(diff.b.run_id)} / "
-        f"{_esc(diff.b.kernel_backend)}</p>"
+        f"A: {_esc(diff.a.command)} / {_esc(diff.a.run_id)}<br>"
+        f"B: {_esc(diff.b.command)} / {_esc(diff.b.run_id)}</p>"
     )
     if diff.notes:
         items = "".join(f"<li>{_esc(note)}</li>" for note in diff.notes)

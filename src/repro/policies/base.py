@@ -69,7 +69,7 @@ class PartitionPolicy:
     policy_name = "base"
 
     #: What the value of :meth:`throughput_for` may depend on — the
-    #: contract the numpy kernel backend's caching relies on
+    #: contract the epoch loop's throughput caching relies on
     #: (see :class:`repro.fastpath.epoch.FastEpochKernel`):
     #:
     #: * ``"slice"`` — only on the app's current kernel and its own
@@ -80,8 +80,8 @@ class PartitionPolicy:
     #: * ``"resident-set"`` — additionally on the *other* residents'
     #:   kernels and allocations (MPS-style contention), but on nothing
     #:   else.
-    #: * ``"stateful"`` — anything; the fast path calls the hook every
-    #:   epoch, exactly like the scalar loop.
+    #: * ``"stateful"`` — anything; the epoch loop calls the hook every
+    #:   epoch for every app.
     #:
     #: A subclass that overrides :meth:`throughput_for` without
     #: re-declaring this attribute is treated as ``"stateful"``.
@@ -138,7 +138,7 @@ class PartitionPolicy:
         """Side-effect hook fed once per app per epoch with the slice
         throughput (UGPU/CD-Search accumulate profiler counters here).
         Under the ``"slice"`` contract this is the *only* way
-        ``throughput_for`` may touch policy state — the fast path calls
+        ``throughput_for`` may touch policy state — the epoch loop calls
         it even when the throughput itself came from a cache."""
 
     def on_epoch_end(self, epoch_index: int, span: int) -> None:

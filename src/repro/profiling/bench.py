@@ -17,7 +17,6 @@ The emitted artifact is a schema-versioned JSON document::
     {
       "schema": "repro.bench/1",
       "repeats": 3,
-      "kernel_backend": "numpy",
       "provenance": {"git_sha": ..., "config_hash": ..., ...},
       "scenarios": {
         "closed_ugpu": {"description": ..., "seconds": [...],
@@ -31,9 +30,6 @@ written as ``BENCH_<git-sha>.json`` so a directory of artifacts reads as
 a perf trajectory.  ``meta`` carries deterministic per-scenario counts
 (epochs, repartitions, faults...) — if those drift between two BENCH
 files, the comparison is apples to oranges and the compare layer says so.
-The document-level ``kernel_backend`` records which simulation backend
-(scalar oracle or numpy fast path) produced the times; the compare layer
-likewise refuses to gate across backends.
 """
 
 from __future__ import annotations
@@ -310,7 +306,6 @@ def run_bench(
     pure determinism fingerprint — so the compare gate can say *which*
     span paths a regression landed in, not just that one happened.
     """
-    from repro.fastpath import resolve_kernel_backend
     from repro.telemetry.provenance import collect_provenance
 
     if repeats < 1:
@@ -326,7 +321,6 @@ def run_bench(
     doc: Dict[str, Any] = {
         "schema": BENCH_SCHEMA,
         "repeats": repeats,
-        "kernel_backend": resolve_kernel_backend(),
         "provenance": collect_provenance(command="bench"),
         "scenarios": {},
     }

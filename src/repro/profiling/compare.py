@@ -15,9 +15,6 @@ by scheduler noise):
   between the two documents, so its times measure different work; the
   time verdict is suppressed and the comparison fails (a silently
   changed workload would otherwise grandfather a real regression in).
-  A document-level skew is emitted when both documents record a
-  ``kernel_backend`` and they disagree: scalar-vs-numpy times compare
-  implementations, not commits, so the gate refuses to verdict them.
 * ``missing`` — present on one side only; reported, does not fail
   (suites are allowed to grow).
 
@@ -141,16 +138,6 @@ def compare_benchmarks(
     comparison = BenchComparison(
         fail_threshold=fail_threshold, warn_threshold=warn_threshold
     )
-    base_backend = baseline.get("kernel_backend")
-    cand_backend = candidate.get("kernel_backend")
-    if base_backend and cand_backend and base_backend != cand_backend:
-        comparison.verdicts.append(ScenarioVerdict(
-            name="(document)", status="skewed",
-            note=(
-                f"kernel backends differ ({base_backend} vs {cand_backend}); "
-                "times compare implementations, not commits"
-            ),
-        ))
     base_scenarios = baseline.get("scenarios", {})
     cand_scenarios = candidate.get("scenarios", {})
     for name in list(base_scenarios) + [

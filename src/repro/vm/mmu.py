@@ -97,6 +97,11 @@ class MMU:
         self.mode = mode
         self.stats = MMUStats()
         self.now = 0
+        #: (app, vpn) -> the L1 TLB a demand fault filled with a frame in
+        #: a channel awaiting migration.  Every other L1 fill passes the
+        #: status-register check, so these are the only L1 entries a
+        #: migration fault can leave stale.
+        self._unchecked_l1: Dict[tuple, TLB] = {}
 
     # ------------------------------------------------------------------
     # The translation flow
@@ -139,6 +144,8 @@ class MMU:
             latency += fault.software_cycles
             self.stats.demand_faults += 1
             self._fill_both(l1, app_id, vpn, fault.rpn, fault.channel)
+            if self.registry.needs_migration(app_id, fault.channel):
+                self._unchecked_l1[(app_id, vpn)] = l1
             return self._done(app_id, vpn, fault.rpn, fault.channel,
                               latency, walked=True, demand_fault=True)
 
@@ -154,6 +161,11 @@ class MMU:
         """The PageMove fault path: invalidate, reallocate, migrate,
         refill (Section 4.4)."""
         self.l2_tlb.invalidate(app_id, vpn)
+        # An L1 entry filled by a demand fault skipped the status-register
+        # check; shoot it down, or that SM keeps the page's old frame.
+        holder = self._unchecked_l1.pop((app_id, vpn), None)
+        if holder is not None:
+            holder.invalidate(app_id, vpn)
         direction = self.registry.direction(app_id)
         from repro.vm.channel_registry import ReallocationDirection
 

@@ -56,6 +56,35 @@ class TestBPSystem:
             BPSystem([])
 
 
+class TestRunnerInputValidation:
+    """Bad horizons are rejected at the runner boundary, not deep in the
+    epoch loop."""
+
+    @pytest.mark.parametrize("epoch_cycles", [0, -5_000_000])
+    def test_non_positive_epoch_rejected_at_construction(self, epoch_cycles):
+        from repro.core.system import MultitaskSystem
+        from repro.policies import UGPUPolicy
+
+        with pytest.raises(ConfigError, match="epoch_cycles"):
+            MultitaskSystem(het_mix().applications, policy=UGPUPolicy(),
+                            epoch_cycles=epoch_cycles)
+
+    @pytest.mark.parametrize("total_cycles", [0, -1])
+    @pytest.mark.parametrize("open_system", [False, True])
+    def test_non_positive_horizon_rejected(self, total_cycles, open_system):
+        from repro.core.system import MultitaskSystem
+        from repro.policies import BPPolicy
+        from repro.workloads import poisson_arrivals
+
+        arrivals = (poisson_arrivals(1_000_000, 5_000_000, seed=0)
+                    if open_system else None)
+        system = MultitaskSystem(
+            [] if open_system else het_mix().applications,
+            policy=BPPolicy(), arrivals=arrivals)
+        with pytest.raises(ConfigError, match="total_cycles"):
+            system.run(total_cycles)
+
+
 class TestUGPUSystem:
     def test_beats_bp_on_heterogeneous_mix(self):
         bp = BPSystem(het_mix().applications).run()

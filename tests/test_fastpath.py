@@ -1,247 +1,86 @@
-"""The numpy fast path against the scalar golden oracle.
+"""The epoch loop and its neighbours, beyond the golden corpus.
 
-The contract of :mod:`repro.fastpath` is *byte identity*: every float the
-vectorized backend produces must equal, bitwise, what the pure-python
-scalar code produces.  The Hypothesis property test below drives
-:meth:`PerformanceModel.throughput_batch` over randomized kernels and
-slice shapes — including the degenerate 0-SM and 0-channel slices — and
-compares each field's ``float.hex()`` against a fresh scalar model, so
-the vector path (not a memo hit) is what's being checked.
-
-The rest covers the plumbing that keeps the two backends honest: backend
-resolution priority, whole-system scalar-vs-numpy agreement on an
-open-system run (the path the golden closed-system fixtures don't reach),
-the round-robin migration planner, the ExecStats backend field, and the
-bench/compare layers' refusal to gate timings across backends.
+The loop's correctness contract is the frozen golden fixtures under
+``tests/golden/`` (closed, open, QoS, oversubscription, observed, fleet
+and PageMove runs), which it must reproduce byte for byte.  This module
+covers what those fixtures do not pin directly: the PageMove planner's
+round-robin destination assignment against its defining formula, and the
+simulator staying free of numpy so the dependency cannot creep back.
 """
 
-import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
-import pytest
-
-np = pytest.importorskip("numpy")
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
-from repro.fastpath import (
-    KERNEL_BACKENDS,
-    numpy_available,
-    resolve_kernel_backend,
-    set_default_kernel_backend,
-)
-from repro.gpu.config import GPUConfig
-from repro.gpu.kernel import Kernel
-from repro.gpu.llc import HitRateCurve
-from repro.gpu.performance import PerformanceModel
+import repro
+from repro.pagemove.engine import _round_robin_destinations
+from tests.strategies import STANDARD_SETTINGS
 
 
-@pytest.fixture(autouse=True)
-def _clear_backend_override():
-    """Tests must not leak a process-wide backend override."""
-    yield
-    set_default_kernel_backend(None)
+def _reference_destinations(kept, start, count):
+    """The defining formula: page ``i`` goes to ``kept[(start + i) % n]``."""
+    return [kept[(start + i) % len(kept)] for i in range(count)]
 
 
-def _hexed(t) -> list:
-    """Every float field of a SliceThroughput as its exact hex form."""
-    return [
-        getattr(t, f.name).hex() if isinstance(getattr(t, f.name), float)
-        else getattr(t, f.name)
-        for f in dataclasses.fields(t)
-    ]
+class TestRoundRobinDestinations:
+    @STANDARD_SETTINGS
+    @given(
+        kept=st.lists(st.integers(min_value=0, max_value=63), min_size=1,
+                      max_size=16, unique=True).map(sorted),
+        start=st.integers(min_value=0, max_value=10**6),
+        count=st.integers(min_value=0, max_value=5000),
+    )
+    def test_matches_the_modular_formula(self, kept, start, count):
+        got = _round_robin_destinations(kept, start, count)
+        assert got == _reference_destinations(kept, start, count)
 
 
-finite = dict(allow_nan=False, allow_infinity=False)
+_NO_NUMPY_SCRIPT = textwrap.dedent("""
+    import sys
 
-hit_curves = st.builds(
-    HitRateCurve,
-    reference_capacity=st.floats(min_value=1e6, max_value=1e8, **finite),
-    reference_hit_rate=st.floats(min_value=0.0, max_value=0.8, **finite),
-    working_set=st.floats(min_value=1e6, max_value=1e9, **finite),
-    alpha=st.floats(min_value=0.1, max_value=2.0, **finite),
-)
+    from repro import build_mix
+    from repro.cluster import FleetSimulator, PlacementPolicy
+    from repro.core.system import MultitaskSystem
+    from repro.pagemove import (
+        InterleavedPageMapping, MigrationEngine, PageMoveAddressMapping,
+    )
+    from repro.policies import UGPUPolicy
+    from repro.vm import FaultKind, GPUDriver
+    from repro.workloads import poisson_arrivals
 
-kernels = st.builds(
-    Kernel,
-    name=st.just("k"),
-    ipc_per_sm=st.floats(min_value=0.05, max_value=4.0, **finite),
-    apki_llc=st.floats(min_value=0.0, max_value=400.0, **finite),
-    llc_hit_rate=st.floats(min_value=0.0, max_value=1.0, **finite),
-    footprint_bytes=st.integers(min_value=0, max_value=1 << 33),
-    instructions=st.integers(min_value=1, max_value=10**9),
-    hit_curve=st.one_of(st.none(), hit_curves),
-)
-
-
-class TestThroughputBatchProperty:
-    @settings(max_examples=200, deadline=None)
-    @given(batch=st.lists(
-        st.tuples(kernels,
-                  st.integers(min_value=0, max_value=80),
-                  st.integers(min_value=0, max_value=32)),
-        min_size=1, max_size=6,
-    ))
-    def test_batch_is_bitwise_identical_to_scalar(self, batch):
-        ks = [k for k, _, _ in batch]
-        sms = [s for _, s, _ in batch]
-        chans = [m for _, _, m in batch]
-        # Fresh model per draw: an empty memo forces the vector path.
-        vectorized = PerformanceModel(GPUConfig()).throughput_batch(
-            ks, sms, chans
-        )
-        oracle = PerformanceModel(GPUConfig())
-        for got, (kernel, s, m) in zip(vectorized, batch):
-            want = oracle.throughput(kernel, s, m)
-            assert _hexed(got) == _hexed(want)
-
-    def test_zero_sm_and_zero_channel_edges(self):
-        memory = Kernel("m", ipc_per_sm=1.0, apki_llc=120.0,
-                        llc_hit_rate=0.5, footprint_bytes=1 << 30)
-        compute = Kernel("c", ipc_per_sm=2.0, apki_llc=0.0,
-                         llc_hit_rate=0.0, footprint_bytes=0)
-        ks = [memory, memory, compute, compute]
-        sms = [0, 10, 0, 10]
-        chans = [4, 0, 0, 0]
-        batch = PerformanceModel(GPUConfig()).throughput_batch(ks, sms, chans)
-        oracle = PerformanceModel(GPUConfig())
-        for got, kernel, s, m in zip(batch, ks, sms, chans):
-            assert _hexed(got) == _hexed(oracle.throughput(kernel, s, m))
-        assert batch[0].ipc == 0.0          # no SMs
-        assert batch[1].ipc == 0.0          # memory-bound, no channels
-        assert batch[2].ipc == 0.0          # no SMs, even compute-bound
-        assert batch[3].ipc == 20.0         # compute-bound needs no channels
-        assert batch[3].bandwidth_roof == float("inf")
-
-    def test_batch_validates_inputs(self):
-        model = PerformanceModel(GPUConfig())
-        kernel = Kernel("k", 1.0, 10.0, 0.5, 0)
-        with pytest.raises(ConfigError):
-            model.throughput_batch([kernel], [1, 2], [1])
-        with pytest.raises(ConfigError):
-            model.throughput_batch([kernel], [-1], [1])
-
-    def test_batch_hits_memo_on_repeat(self):
-        model = PerformanceModel(GPUConfig())
-        kernel = Kernel("k", 1.0, 10.0, 0.5, 0)
-        first = model.throughput_batch([kernel], [8], [4])[0]
-        misses = model.memo_misses
-        again = model.throughput_batch([kernel, kernel], [8, 8], [4, 4])
-        assert again[0] is first and again[1] is first
-        assert model.memo_misses == misses
+    MultitaskSystem(build_mix(["PVC", "DXTC"]).applications,
+                    policy=UGPUPolicy(), epoch_cycles=500_000).run(5_000_000)
+    MultitaskSystem([], policy=UGPUPolicy(), epoch_cycles=500_000,
+                    arrivals=poisson_arrivals(1_000_000, 5_000_000, seed=1),
+                    ).run(5_000_000)
+    FleetSimulator(4, poisson_arrivals(300_000, 10_000_000, seed=0,
+                                       instructions_per_kernel=50_000_000),
+                   PlacementPolicy.FIRST_FIT, round_cycles=2_500_000,
+                   horizon_cycles=10_000_000,
+                   instructions_per_kernel=50_000_000).run()
+    mapping = PageMoveAddressMapping()
+    driver = GPUDriver(pages_per_channel=256,
+                       mapping=InterleavedPageMapping(mapping))
+    driver.register_app(0, [0, 1])
+    for vpn in range(200):
+        driver.handle_fault(FaultKind.DEMAND, 0, vpn, target_channel=vpn % 2)
+    engine = MigrationEngine(driver, mapping=mapping)
+    engine.execute(engine.plan_channel_reallocation(0, [1, 2, 3]))
+    print("numpy" in sys.modules)
+""")
 
 
-class TestBackendResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        assert resolve_kernel_backend("scalar") == "scalar"
-
-    def test_process_default_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        set_default_kernel_backend("scalar")
-        assert resolve_kernel_backend() == "scalar"
-
-    def test_environment_beats_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scalar")
-        assert resolve_kernel_backend() == "scalar"
-
-    def test_auto_detects_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert numpy_available()
-        assert resolve_kernel_backend() == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_kernel_backend("cuda")
-        with pytest.raises(ConfigError):
-            set_default_kernel_backend("cuda")
-
-
-class TestSystemBackendAgreement:
-    def test_open_system_runs_are_identical(self):
-        """Arrivals exercise the boundary/admission path the closed-system
-        golden fixtures never reach; both backends must agree exactly."""
-        from repro.core.system import MultitaskSystem, clear_solo_ipc_cache
-        from repro.policies import UGPUPolicy
-        from repro.workloads.arrivals import poisson_arrivals
-
-        def run(backend):
-            clear_solo_ipc_cache()
-            schedule = poisson_arrivals(
-                mean_interarrival_cycles=1_000_000,
-                horizon_cycles=8_000_000,
-                seed=3,
-            )
-            system = MultitaskSystem(
-                [], policy=UGPUPolicy(), epoch_cycles=500_000,
-                arrivals=schedule, kernel_backend=backend,
-            )
-            return system.run(8_000_000, mix_name="agree")
-
-        a, b = run("scalar"), run("numpy")
-        assert (a.arrivals, a.admissions, a.departures, a.repartitions) == \
-               (b.arrivals, b.admissions, b.departures, b.repartitions)
-        assert len(a.epochs) == len(b.epochs)
-        for ea, eb in zip(a.epochs, b.epochs):
-            assert (ea.index, ea.start_cycle, ea.end_cycle) == \
-                   (eb.index, eb.start_cycle, eb.end_cycle)
-            assert ea.instructions == eb.instructions
-        assert a.stp.hex() == b.stp.hex()
-
-    def test_round_robin_planner_backends_agree(self):
-        from repro.pagemove.engine import _round_robin_destinations
-
-        kept = [1, 4, 6]
-        set_default_kernel_backend("numpy")
-        vec = _round_robin_destinations(kept, 7, 500)
-        set_default_kernel_backend("scalar")
-        sca = _round_robin_destinations(kept, 7, 500)
-        assert vec == sca
-        assert all(type(d) is int for d in vec)
-
-
-class TestBackendSurfacing:
-    def test_exec_stats_merge_marks_mixed(self):
-        from repro.exec.stats import ExecStats
-
-        stats = ExecStats(kernel_backend="numpy")
-        stats.merge(ExecStats(kernel_backend="numpy"))
-        assert stats.kernel_backend == "numpy"
-        stats.merge(ExecStats(kernel_backend="scalar"))
-        assert stats.kernel_backend == "mixed"
-        assert "backend mixed" in stats.format()
-        empty = ExecStats()
-        empty.merge(ExecStats(kernel_backend="scalar"))
-        assert empty.kernel_backend == "scalar"
-
-    def test_executor_records_backend(self):
-        from repro.exec import SweepExecutor, SweepJob
-
-        set_default_kernel_backend("scalar")
-        executor = SweepExecutor(jobs=1, cache=None)
-        executor.run([SweepJob.build("bp", ["PVC", "DXTC"], 1_000_000)])
-        assert executor.last_stats.kernel_backend == "scalar"
-
-    def test_bench_document_records_backend(self):
-        from repro.profiling.bench import Scenario, run_bench
-
-        suite = {"tiny": Scenario("tiny", "synthetic", lambda p=None: {"n": 1})}
-        doc = run_bench(names=["tiny"], repeats=1, suite=suite)
-        assert doc["kernel_backend"] in KERNEL_BACKENDS
-
-    def test_compare_refuses_cross_backend_documents(self):
-        from repro.profiling.bench import BENCH_SCHEMA
-        from repro.profiling.compare import compare_benchmarks
-
-        def doc(backend):
-            d = {"schema": BENCH_SCHEMA, "repeats": 1, "scenarios": {}}
-            if backend is not None:
-                d["kernel_backend"] = backend
-            return d
-
-        skewed = compare_benchmarks(doc("scalar"), doc("numpy"))
-        assert skewed.failed
-        assert any(v.status == "skewed" for v in skewed.verdicts)
-        # A legacy document without the key still gates normally.
-        assert not compare_benchmarks(doc(None), doc("numpy")).failed
-        assert not compare_benchmarks(doc("numpy"), doc("numpy")).failed
+def test_simulator_runs_without_importing_numpy():
+    """A closed run, an open run, a small fleet and a PageMove
+    plan/execute must leave numpy out of ``sys.modules``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT], env=env,
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False", out.stderr

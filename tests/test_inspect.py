@@ -57,7 +57,6 @@ def _minimal_manifest(**overrides):
         "schema": BUNDLE_SCHEMA,
         "command": "fleet",
         "run_id": "cafe",
-        "kernel_backend": "scalar",
         "provenance": {},
         "dropped_events": 0,
         "artifacts": {},
@@ -267,17 +266,6 @@ class TestDiffer:
         assert diff.span_deltas
         deltas = [abs(s.delta) for s in diff.span_deltas]
         assert deltas == sorted(deltas, reverse=True)
-
-    def test_backend_difference_noted(self, bundle_pair, tmp_path):
-        mutated = tmp_path / "mutated"
-        shutil.copytree(bundle_pair[0], mutated)
-        manifest_path = mutated / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["kernel_backend"] = "scalar"
-        manifest_path.write_text(json.dumps(manifest))
-        diff = diff_bundles(bundle_pair[0], mutated)
-        assert any("kernel backends differ" in note for note in diff.notes)
-        assert diff.zero_divergence  # backend is a note, not drift
 
 
 class TestRenderers:

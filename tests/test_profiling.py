@@ -206,6 +206,24 @@ class TestZeroOverheadContract:
         assert {"epoch", "epoch.advance", "epoch.policy",
                 "run.solo_ipc"} <= flat
 
+    def test_failed_solo_run_closes_its_span(self):
+        """A solo run that retires nothing raises, and must not leave
+        ``run.solo_ipc`` open behind it."""
+        from repro.core.system import MultitaskSystem, clear_solo_ipc_cache
+        from repro.gpu import Application, Kernel
+        from repro.policies import BPPolicy
+
+        clear_solo_ipc_cache()
+        apps = [Application(i, f"SLOW{i}",
+                            [Kernel("slow", 0.0001, 1.0, 0.5, 1 << 20)])
+                for i in range(2)]
+        prof = PhaseProfiler()
+        system = MultitaskSystem(apps, policy=BPPolicy(), profiler=prof)
+        with pytest.raises(SimulationError, match="retired no instructions"):
+            system.run(2)
+        calls = {s.name: s.calls for s in prof.flat()}
+        assert calls["run.solo_ipc"] == 1
+
     def test_profiler_attribute_defaults_to_none_everywhere(self):
         from repro.core.system import MultitaskSystem
         from repro.hbm.config import HBMConfig

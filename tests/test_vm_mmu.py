@@ -129,6 +129,22 @@ class TestReallocationFlows:
             mmu.translate(0, 0, vpn)
         assert mmu.stats.migration_faults == faults_before
 
+    def test_demand_filled_l1_entry_shot_down_on_migration(self, mmu,
+                                                            driver):
+        """A page demand-faulted into a channel awaiting rebalance is
+        cached in the faulting SM's L1; when another SM's access migrates
+        it, the first SM must not keep translating to the old frame."""
+        mmu.begin_reallocation(0, new_channels=[0, 1, 2, 3, 4, 5])
+        first = mmu.translate(0, 0, 7)
+        assert first.demand_fault
+        assert mmu.registry.needs_migration(0, first.channel)
+        moved = mmu.translate(1, 0, 7)
+        assert moved.migrated and moved.rpn != first.rpn
+        again = mmu.translate(0, 0, 7)
+        entry = driver.page_tables[0].lookup(7)
+        assert (again.rpn, again.channel) == (entry.rpn, entry.channel)
+        assert (again.rpn, again.channel) == (moved.rpn, moved.channel)
+
     def test_assert_coherent_catches_staleness(self, mmu, driver):
         """Failure injection: a hand-planted stale entry is detected."""
         self.populate(mmu, range(4))
