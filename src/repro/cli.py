@@ -24,13 +24,15 @@ results are memoized under ``--cache-dir`` (default
 ``~/.cache/repro/sweeps`` or ``$REPRO_CACHE_DIR``) so repeated
 invocations cost near-zero; ``--no-cache`` forces fresh simulation.
 An ``ExecStats`` footer reports jobs run, cache hits, wall-clock and the
-per-job timing percentiles.
+per-job timing percentiles on stderr, so two runs' stdout diffs clean.
+Rejected input (a :class:`~repro.errors.ReproError` such as
+``--cycles 0``) prints one ``error: ...`` line to stderr and exits 2.
 
 ``fleet`` scales the cluster extension to datacenter size: one seeded
 Poisson stream of jobs plays against every requested placement policy
 over the same fleet of nodes, with node execution sharded across the
 ``--jobs`` worker processes (results are byte-identical to a serial
-run — the ExecStats footer goes to stderr so stdout can be diffed).
+run, so stdout can be diffed).
 
 ``sweep`` and ``fleet`` additionally accept the cross-process
 observability flags: ``--trace-out PREFIX`` records a merged timeline —
@@ -88,6 +90,7 @@ from typing import List, Optional, Sequence
 
 from repro import MultitaskSystem, QoSTarget, TABLE2, build_mix
 from repro.cluster import PlacementPolicy
+from repro.errors import ReproError
 from repro.exec import (
     ResultCache,
     SweepExecutor,
@@ -551,7 +554,7 @@ def cmd_run(args) -> int:
                         for r in result.runs)
         print(f"{name:<14} {result.stp:>7.3f} {result.antt:>7.2f} "
               f"{result.min_np:>7.2f}  {nps}")
-    print(f"\n{executor.stats.format()}")
+    print(f"\n{executor.stats.format()}", file=sys.stderr)
     finish_metrics()
     return 0
 
@@ -598,7 +601,7 @@ def cmd_sweep(args) -> int:
             if name != "bp":
                 gain = statistics.fmean(stps) / base - 1
                 print(f"\n{name} vs bp: {gain:+.1%}")
-    print(f"\n{executor.stats.format()}")
+    print(f"\n{executor.stats.format()}", file=sys.stderr)
     finish_obs()
     _finish_report(
         reporter,
@@ -1041,7 +1044,11 @@ def main(argv: Sequence[str] = None) -> int:
         "inspect": cmd_inspect,
         "diff": cmd_diff,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

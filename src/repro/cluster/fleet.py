@@ -59,7 +59,6 @@ from repro.cluster.shard import (
     NodeShardState,
     TenantState,
     _model_for,
-    _template,
 )
 from repro.errors import ConfigError, SimulationError
 from repro.exec.executor import SweepExecutor
@@ -73,7 +72,7 @@ from repro.metrics.multiprogram import (
     mean_queueing_delay,
 )
 from repro.workloads.arrivals import ArrivalSchedule
-from repro.workloads.benchmarks import TABLE2
+from repro.workloads.benchmarks import TABLE2, build_application
 
 
 @dataclass
@@ -315,6 +314,11 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # Per-benchmark memos (coordinator side)
     # ------------------------------------------------------------------
+    def _template(self, abbr: str):
+        """The benchmark at this fleet's kernel length (shared kernels)."""
+        return build_application(
+            abbr, instructions_per_kernel=self.instructions_per_kernel)
+
     def _abbr_of(self, app) -> str:
         if app.name not in self._catalog:
             raise ConfigError(
@@ -327,7 +331,7 @@ class FleetSimulator:
         """Equation 1/2 classification at the even two-way split."""
         cached = self._class_memo.get(abbr)
         if cached is None:
-            kernel = _template(abbr, self.instructions_per_kernel).kernels[0]
+            kernel = self._template(abbr).kernels[0]
             cached = self._model.throughput(
                 kernel, self.config.num_sms // 2, self.config.num_channels // 2
             ).demand_supply_ratio >= 1.0
@@ -335,13 +339,13 @@ class FleetSimulator:
         return cached
 
     def _footprint(self, abbr: str) -> int:
-        return _template(abbr, self.instructions_per_kernel).footprint_bytes
+        return self._template(abbr).footprint_bytes
 
     def _solo_ipc(self, abbr: str) -> float:
         """Steady whole-GPU rate over one full launch (IPC^alone)."""
         cached = self._solo_memo.get(abbr)
         if cached is None:
-            template = _template(abbr, self.instructions_per_kernel)
+            template = self._template(abbr)
             cycles = 0.0
             for kernel in template.kernels:
                 ipc = self._model.throughput(
@@ -366,7 +370,7 @@ class FleetSimulator:
             if abbr in seen:
                 continue
             seen.add(abbr)
-            template = _template(abbr, self.instructions_per_kernel)
+            template = self._template(abbr)
             if [k.instructions for k in template.kernels] != [
                 k.instructions for k in event.app.kernels
             ]:

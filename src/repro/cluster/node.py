@@ -114,10 +114,11 @@ class GPUNode:
         names = [t.name for t in self.tenants]
         if not self.tenants:
             return NodeResult(self.node_id, None, [])
-        # Fresh clones that KEEP their cluster-level app ids (place()
+        # The tenants keep their cluster-level app ids (place()
         # guarantees they are unique on this node), so per-app results
-        # key back to the jobs the scheduler admitted.
-        apps = [t.clone() for t in self.tenants]
+        # key back to the jobs the scheduler admitted; the system runs
+        # on its own clones.
+        apps = list(self.tenants)
         if len(apps) == 1:
             # Whole-GPU run: every policy degenerates to the same thing,
             # so use the overhead-free static system.

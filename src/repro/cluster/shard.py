@@ -12,9 +12,10 @@ addressable and the executor's :class:`~repro.exec.cache.ResultCache`
 can memoize whole shards across rounds and runs.
 
 Worker-side state is rebuilt, never shipped: applications come from the
-Table 2 catalog via a per-process memo keyed by
-``(abbr, instructions_per_kernel)`` and the execution cursor is restored
-from the plain integers in :class:`TenantState`.
+Table 2 catalog's shared kernel templates
+(:func:`~repro.workloads.benchmarks.build_application`) and the
+execution cursor is restored from the plain integers in
+:class:`TenantState`.
 
 Per round each tenant runs on a slice of its node:
 
@@ -127,36 +128,25 @@ class FleetShardResult:
 
 
 # ----------------------------------------------------------------------
-# Worker-side memos (pure caches keyed by content, safe per process)
+# Worker-side state (pure caches keyed by content, safe per process)
 # ----------------------------------------------------------------------
-_APP_TEMPLATES: Dict[Tuple[str, int], Application] = {}
-_MODELS: Dict[str, PerformanceModel] = {}
-
-
-def _template(abbr: str, instructions_per_kernel: int) -> Application:
-    key = (abbr, instructions_per_kernel)
-    app = _APP_TEMPLATES.get(key)
-    if app is None:
-        app = build_application(
-            abbr, app_id=0, instructions_per_kernel=instructions_per_kernel
-        )
-        _APP_TEMPLATES[key] = app
-    return app
+#: One performance model (with its throughput memo) per GPU config.
+_MODELS: Dict[GPUConfig, PerformanceModel] = {}
 
 
 def _model_for(config: GPUConfig) -> PerformanceModel:
-    key = fingerprint(config)
-    model = _MODELS.get(key)
+    model = _MODELS.get(config)
     if model is None:
-        model = PerformanceModel(config)
-        _MODELS[key] = model
+        model = _MODELS[config] = PerformanceModel(config)
     return model
 
 
 def _restore(tenant: TenantState) -> Application:
     """Rebuild the tenant's Application at its recorded cursor."""
-    template = _template(tenant.abbr, tenant.instructions_per_kernel)
-    app = Application(tenant.job_id, template.name, template.kernels)
+    app = build_application(
+        tenant.abbr, app_id=tenant.job_id,
+        instructions_per_kernel=tenant.instructions_per_kernel,
+    )
     if tenant.kernel_index >= len(app.kernels):
         raise ConfigError(
             f"job {tenant.job_id}: kernel_index {tenant.kernel_index} out of "

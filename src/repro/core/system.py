@@ -280,6 +280,8 @@ class MultitaskSystem:
         config = config if config is not None else GPUConfig()
         config.validate()
         self.config = config
+        #: The config's part of the solo-IPC memo key, rendered once.
+        self._config_text = repr(config)
         self.perf = PerformanceModel(config)
         self.epoch_cycles = epoch_cycles
         self.energy_model = energy_model
@@ -324,6 +326,9 @@ class MultitaskSystem:
         self._trace_now = 0
         self.repartitions = 0
         self.policy.bind(self)
+        # A run owns its progress: advance clones, never the caller's
+        # applications, so running the same inputs twice is identical.
+        applications = [app.clone() for app in applications]
         self.partition = self.initial_partition(applications)
         self.apps: Dict[int, AppState] = {}
         for app in applications:
@@ -449,7 +454,7 @@ class MultitaskSystem:
         while self._wait_queue and len(self.apps) < self.max_slots:
             event = self._wait_queue.pop(0)
             state = AppState(
-                app=event.app,
+                app=event.app.clone(),
                 allocation=ResourceAllocation(0, 0),
                 arrival_cycle=event.cycle,
                 admit_cycle=now,
@@ -609,26 +614,10 @@ class MultitaskSystem:
             for state in self.apps.values()
         }
 
-    @staticmethod
-    def _curve_key(curve) -> Optional[Tuple]:
-        if curve is None:
-            return None
-        return (
-            curve.reference_capacity, curve.reference_hit_rate,
-            curve.working_set, curve.peak_hit_rate, curve.alpha,
-        )
-
     def _solo_cache_key(self, app: Application, total_cycles: int) -> Tuple:
-        kernels = tuple(
-            (
-                k.name, k.ipc_per_sm, k.apki_llc, k.llc_hit_rate,
-                k.footprint_bytes, k.instructions,
-                self._curve_key(k.hit_curve),
-            )
-            for k in app.kernels
-        )
+        # Content-based: kernels and their hit curves are frozen values.
         return (
-            app.name, kernels, repr(self.config), total_cycles,
+            app.name, app.kernels, self._config_text, total_cycles,
             self.epoch_cycles, self.total_memory_bytes,
         )
 

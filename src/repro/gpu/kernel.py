@@ -9,8 +9,8 @@ early — the paper's methodology for 25M-cycle multiprogram runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.gpu.llc import HitRateCurve
@@ -83,14 +83,26 @@ class KernelProgress:
 
 
 class Application:
-    """A benchmark: an ordered kernel list plus execution state."""
+    """A benchmark run: a frozen kernel tuple plus execution state.
+
+    The kernels are a value — :func:`repro.workloads.build_application`
+    hands every build of one benchmark the same tuple — while
+    ``progress`` and ``first_run_instructions`` belong to this object
+    alone.  A simulation therefore runs on a :meth:`clone`, never on the
+    caller's object.
+    """
 
     def __init__(self, app_id: int, name: str, kernels: Sequence[Kernel]) -> None:
+        kernels = tuple(kernels)
         if not kernels:
             raise ConfigError(f"application {name} needs at least one kernel")
         self.app_id = app_id
         self.name = name
-        self.kernels: List[Kernel] = list(kernels)
+        self.kernels: Tuple[Kernel, ...] = kernels
+        #: Application memory footprint: the max over its kernels.
+        self.footprint_bytes: int = max(k.footprint_bytes for k in kernels)
+        #: Instructions in one full pass over the kernel list.
+        self.instructions_per_launch: int = sum(k.instructions for k in kernels)
         self.progress = KernelProgress()
         #: Instructions retired during the first full run (the paper
         #: reports performance from each benchmark's first run).
@@ -99,15 +111,6 @@ class Application:
     @property
     def current_kernel(self) -> Kernel:
         return self.kernels[self.progress.kernel_index]
-
-    @property
-    def footprint_bytes(self) -> int:
-        """Application memory footprint: the max over its kernels."""
-        return max(k.footprint_bytes for k in self.kernels)
-
-    @property
-    def instructions_per_launch(self) -> int:
-        return sum(k.instructions for k in self.kernels)
 
     def advance(self, instructions: int) -> int:
         """Retire ``instructions``, walking across kernel boundaries and
@@ -149,12 +152,14 @@ class Application:
         self.first_run_instructions = None
 
     def clone(self, app_id: Optional[int] = None) -> "Application":
-        """A fresh copy with reset progress (for homogeneous mixes)."""
-        return Application(
-            app_id=self.app_id if app_id is None else app_id,
-            name=self.name,
-            kernels=self.kernels,
-        )
+        """A fresh copy with reset progress that shares the kernel tuple
+        (a run's own copy, or another member of a homogeneous mix)."""
+        twin = object.__new__(Application)
+        twin.__dict__.update(self.__dict__)
+        if app_id is not None:
+            twin.app_id = app_id
+        twin.reset()
+        return twin
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Application({self.name}, {len(self.kernels)} kernels)"

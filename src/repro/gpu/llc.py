@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -93,6 +93,7 @@ class SetAssociativeCache:
         return sum(len(ways) for ways in self._sets)
 
 
+@dataclass(frozen=True)
 class HitRateCurve:
     """Hit rate as a function of allocated LLC capacity.
 
@@ -107,28 +108,30 @@ class HitRateCurve:
     epoch model extrapolates cache behaviour, and the partitioning
     algorithm itself never relies on it, matching the paper's claim that
     no full performance model is needed).
+
+    A frozen value: kernels built from one benchmark template share their
+    curves, so equal curves compare and hash equal and none can be
+    changed under another run.
     """
 
-    def __init__(self, reference_capacity: float, reference_hit_rate: float,
-                 working_set: float, peak_hit_rate: float = None,
-                 alpha: float = 0.5) -> None:
-        if reference_capacity <= 0 or working_set <= 0:
+    reference_capacity: float
+    reference_hit_rate: float
+    working_set: float
+    peak_hit_rate: Optional[float] = None
+    alpha: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.reference_capacity <= 0 or self.working_set <= 0:
             raise ConfigError("capacities must be positive")
-        if not 0.0 <= reference_hit_rate <= 1.0:
+        if not 0.0 <= self.reference_hit_rate <= 1.0:
             raise ConfigError("hit rates live in [0, 1]")
-        if alpha <= 0:
+        if self.alpha <= 0:
             raise ConfigError("alpha must be positive")
-        self.reference_capacity = reference_capacity
-        self.reference_hit_rate = reference_hit_rate
-        self.working_set = working_set
-        self.peak_hit_rate = (
-            peak_hit_rate
-            if peak_hit_rate is not None
-            else min(1.0, reference_hit_rate * 1.25)
-        )
+        if self.peak_hit_rate is None:
+            object.__setattr__(self, "peak_hit_rate",
+                               min(1.0, self.reference_hit_rate * 1.25))
         if not self.reference_hit_rate <= self.peak_hit_rate <= 1.0:
             raise ConfigError("peak_hit_rate must be >= reference and <= 1")
-        self.alpha = alpha
 
     def hit_rate(self, capacity: float) -> float:
         """Hit rate with ``capacity`` bytes of LLC."""

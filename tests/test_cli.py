@@ -37,6 +37,15 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run"])
 
+    def test_footer_goes_to_stderr(self, capsys):
+        argv = ["run", "--mix", "PVC,DXTC", "--policy", "bp",
+                "--cycles", "2000000", "--no-cache"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert "ExecStats:" in first.err and "ExecStats:" not in first.out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first.out
+
 
 class TestSweepAndQoS:
     def test_sweep_reports_gain(self, capsys):
@@ -45,6 +54,13 @@ class TestSweepAndQoS:
         out = capsys.readouterr().out
         assert "ugpu vs bp:" in out
         assert "STP mean" in out
+
+    def test_sweep_footer_goes_to_stderr(self, capsys):
+        assert main(["sweep", "--policies", "bp", "--cycles", "2000000",
+                     "--no-cache"]) == 0
+        captured = capsys.readouterr()
+        assert "ExecStats:" in captured.err
+        assert "ExecStats:" not in captured.out
 
     def test_qos_scenario(self, capsys):
         assert main(["qos", "--mix", "PVC,DXTC", "--target", "0.75",
@@ -55,6 +71,23 @@ class TestSweepAndQoS:
 
     def test_qos_requires_two_benchmarks(self, capsys):
         assert main(["qos", "--mix", "PVC", "--cycles", "5000000"]) == 2
+
+
+class TestErrorBoundary:
+    """Rejected input ends in one ``error:`` line and exit status 2, not
+    a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--nodes", "4", "--cycles", "0", "--no-cache"],
+        ["arrivals", "--cycles", "-5"],
+        ["sweep", "--policies", "bp", "--cycles", "0", "--no-cache"],
+    ], ids=["fleet", "arrivals", "sweep"])
+    def test_config_error_is_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "must be positive" in err
 
 
 class TestExport:

@@ -325,6 +325,7 @@ class TestCli:
                      "--expect-identical"]) == 1
         assert "DIVERGED" in capsys.readouterr().out
 
-    def test_inspect_missing_bundle_raises_config_error(self, tmp_path):
-        with pytest.raises(ConfigError):
-            main(["inspect", str(tmp_path)])
+    def test_inspect_missing_bundle_is_a_cli_error(self, tmp_path, capsys):
+        assert main(["inspect", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
